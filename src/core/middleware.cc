@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstdio>
-#include <chrono>
 #include <map>
 
 #include "common/rng.h"
@@ -111,25 +108,11 @@ void RemoteDbServer::TryDispatch() {
     ++busy_;
     // Execute at dispatch time so statements apply in virtual order; the
     // result is held until the service time elapses.
-    static const bool debug_slow = std::getenv("CHRONO_DEBUG_SLOW") != nullptr;
-    auto wall_start = debug_slow ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
     // Zero-reparse path: execute a handed-off parse tree directly.
     const bool handoff = job.request.ast != nullptr && !text_roundtrip_;
     if (handoff) ++ast_handoffs_;
     auto outcome = handoff ? database_->Execute(*job.request.ast)
                            : database_->ExecuteText(job.request.sql);
-    if (debug_slow) {
-      double ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - wall_start)
-                      .count();
-      if (ms > 2.0) {
-        std::fprintf(stderr, "SLOW %.1fms rows=%llu: %.300s\n", ms,
-                     static_cast<unsigned long long>(
-                         outcome.ok() ? outcome->stats.rows_scanned : 0),
-                     job.request.sql.c_str());
-      }
-    }
     uint64_t rows = outcome.ok() ? outcome->stats.rows_scanned : 0;
     if (outcome.ok()) rows_scanned_ += rows;
     SimTime service = latency_.DbServiceTime(rows);
@@ -175,96 +158,6 @@ Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
           config.tau, config.min_occurrences, config.enable_loops,
           config.enable_loop_constants, /*max_nodes=*/8}),
       retry_(config.retry) {}
-
-Middleware::~Middleware() {
-  if (metrics_registry_ != nullptr) {
-    metrics_registry_->UnregisterCallbacksOwnedBy(this);
-  }
-}
-
-void Middleware::RegisterMetrics(obs::MetricsRegistry* registry) {
-  metrics_registry_ = registry;
-  const void* owner = this;
-  // Counters mirroring MiddlewareMetrics, under the same names the
-  // wall-clock ChronoServer exports so dashboards work on either.
-  auto mirror = [&](const char* name, const char* help,
-                    const uint64_t* field, obs::Labels labels = {}) {
-    registry->RegisterCallbackCounter(
-        name, help, std::move(labels),
-        [field] { return static_cast<double>(*field); }, owner);
-  };
-  mirror("chrono_requests_total", "Client statements served",
-         &metrics_.reads, {{"op", "read"}});
-  mirror("chrono_requests_total", "Client statements served",
-         &metrics_.writes, {{"op", "write"}});
-  mirror("chrono_cache_rejects_total",
-         "Cached results rejected by session/security checks",
-         &metrics_.cache_rejects);
-  mirror("chrono_remote_plain_total", "Plain (uncombined) remote reads",
-         &metrics_.remote_plain);
-  mirror("chrono_remote_combined_total",
-         "Combined queries sent to the database", &metrics_.remote_combined);
-  mirror("chrono_predictions_cached_total",
-         "Result sets cached ahead of demand", &metrics_.predictions_cached);
-  mirror("chrono_prediction_fallbacks_total",
-         "Combined queries that missed the asked-for result",
-         &metrics_.prediction_fallbacks);
-  mirror("chrono_redundant_skips_total",
-         "Combinations suppressed as redundant (sim only, paper 5.1)",
-         &metrics_.redundant_skips);
-  mirror("chrono_inflight_joins_total",
-         "Duplicate requests coalesced onto in-flight queries (sim only)",
-         &metrics_.inflight_joins);
-  mirror("chrono_sequential_prefetches_total",
-         "Apollo-style sequential predictions fired (sim only)",
-         &metrics_.sequential_prefetches);
-  mirror("chrono_cascaded_fires_total",
-         "Graphs fired by text-availability cascades (sim only)",
-         &metrics_.cascaded_fires);
-  mirror("chrono_backend_retries_total",
-         "Demand-read retries after backend transport failures",
-         &metrics_.backend_retries);
-
-  // The two query-path caches, uniform family shared with the runtime.
-  auto cache_family = [&](const char* which, std::function<double()> hits,
-                          std::function<double()> misses,
-                          std::function<double()> evictions,
-                          std::function<double()> entries) {
-    obs::Labels labels = {{"cache", which}};
-    registry->RegisterCallbackCounter("chrono_cache_hits_total",
-                                      "Cache lookup hits by cache", labels,
-                                      std::move(hits), owner);
-    registry->RegisterCallbackCounter("chrono_cache_misses_total",
-                                      "Cache lookup misses by cache", labels,
-                                      std::move(misses), owner);
-    registry->RegisterCallbackCounter("chrono_cache_evictions_total",
-                                      "Cache evictions by cache", labels,
-                                      std::move(evictions), owner);
-    registry->RegisterCallbackGauge("chrono_cache_entries",
-                                    "Entries resident by cache", labels,
-                                    std::move(entries), owner);
-  };
-  cache_family(
-      "template",
-      [this] {
-        return static_cast<double>(
-            template_cache_.counters().hits.load(std::memory_order_relaxed));
-      },
-      [this] {
-        return static_cast<double>(
-            template_cache_.counters().misses.load(std::memory_order_relaxed));
-      },
-      [this] { return static_cast<double>(template_cache_.evictions()); },
-      [this] { return static_cast<double>(template_cache_.size()); });
-  cache_family(
-      "result", [this] { return static_cast<double>(cache_->hits()); },
-      [this] { return static_cast<double>(cache_->misses()); },
-      [this] { return static_cast<double>(cache_->evictions()); },
-      [this] { return static_cast<double>(cache_->entry_count()); });
-  registry->RegisterCallbackGauge(
-      "chrono_result_cache_bytes", "Bytes resident in the result cache", {},
-      [this] { return static_cast<double>(cache_->used_bytes()); }, owner);
-}
 
 void Middleware::AttachJournal(obs::EventJournal* journal) {
   journal_ = journal;
@@ -696,7 +589,6 @@ bool Middleware::FireGraph(ClientId client, int security_group,
       [this, client, security_group, plan, plan_id, issued_at, wait_key,
        cascade_depth](SimTime landed, Result<db::ExecOutcome> outcome) {
         sessions_.OnRemoteAccess();
-        if (!outcome.ok() && getenv("CHRONO_DEBUG")) std::fprintf(stderr, "COMBINED FAIL: %s\nSQL: %s\n", outcome.status().ToString().c_str(), plan->sql.c_str());
         if (journal_ != nullptr) {
           obs::JournalEvent fetched;
           fetched.type = obs::JournalEventType::kCombinedFetched;
@@ -714,29 +606,11 @@ bool Middleware::FireGraph(ClientId client, int security_group,
         }
         if (outcome.ok()) {
           auto split = SplitResult(*plan, outcome->result, registry_);
-          if (!split.ok() && getenv("CHRONO_DEBUG")) std::fprintf(stderr, "SPLIT FAIL: %s\n", split.status().ToString().c_str());
           if (split.ok()) {
-            // Edge attribution: first parent slot's template -> slot
-            // template; roots keep src 0 (same rule as the runtime).
-            std::map<TemplateId, TemplateId> src_of;
-            for (const DecodeSlot& slot : plan->slots) {
-              TemplateId src = 0;
-              if (!slot.parents.empty()) {
-                int parent = slot.parents.front();
-                if (parent >= 0 &&
-                    static_cast<size_t>(parent) < plan->slots.size()) {
-                  src = plan->slots[static_cast<size_t>(parent)].tmpl;
-                }
-              }
-              src_of.emplace(slot.tmpl, src);
-            }
             for (const auto& entry : *split) {
-              auto src_it = src_of.find(entry.tmpl);
               CachePut(client, security_group, entry.tmpl, entry.key,
                        entry.result, plan_id,
-                       src_it == src_of.end()
-                           ? 0
-                           : static_cast<uint64_t>(src_it->second));
+                       static_cast<uint64_t>(entry.src));
               ++metrics_.predictions_cached;
             }
             // The triggering client observed fresh database state.

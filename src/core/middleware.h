@@ -24,7 +24,6 @@
 #include "net/latency_model.h"
 #include "net/retry_policy.h"
 #include "obs/journal.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "sim/resource.h"
@@ -179,7 +178,6 @@ class Middleware {
 
   Middleware(EventQueue* events, RemoteDbServer* remote,
              const net::LatencyModel& latency, MiddlewareConfig config);
-  ~Middleware();
 
   /// Client entry point: submit one SQL statement. `done` fires when the
   /// response reaches the client (includes all edge/WAN latency).
@@ -195,15 +193,6 @@ class Middleware {
   const CacheCounters& template_cache_counters() const {
     return template_cache_.counters();
   }
-
-  /// Registers pull-mode counters/gauges mirroring MiddlewareMetrics and
-  /// the template/result caches under the same metric names the runtime
-  /// ChronoServer uses, so the simulator and the wall-clock node export
-  /// the same shapes. The simulator is single-threaded: snapshot the
-  /// registry between simulation steps, not concurrently with them. The
-  /// registry must outlive this middleware (callbacks are unregistered in
-  /// the destructor).
-  void RegisterMetrics(obs::MetricsRegistry* registry);
 
   /// Mirrors the runtime server's prefetch-lifecycle journal events —
   /// plan mined, combined issued/fetched, entries installed / used /
@@ -348,8 +337,7 @@ class Middleware {
   std::unordered_map<std::string, std::vector<std::pair<int, DependencyGraph>>>
       deferred_seq_;
   MiddlewareMetrics metrics_;
-  obs::MetricsRegistry* metrics_registry_ = nullptr;  // null until attached
-  obs::EventJournal* journal_ = nullptr;              // null until attached
+  obs::EventJournal* journal_ = nullptr;  // null until attached
   uint64_t next_plan_id_ = 1;
   net::RetryPolicy retry_;        // schedule for idempotent demand reads
   uint64_t retry_ordinal_ = 0;    // deterministic backoff-jitter counter

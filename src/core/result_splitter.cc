@@ -32,6 +32,16 @@ bool CkAllNull(const std::vector<Value>& ck) {
   return true;
 }
 
+/// The first parent slot's template, or 0 for a root slot.
+TemplateId SourceOf(const CombinedQuery& combined, const DecodeSlot& slot) {
+  if (slot.parents.empty()) return 0;
+  int parent = slot.parents.front();
+  if (parent < 0 || static_cast<size_t>(parent) >= combined.slots.size()) {
+    return 0;
+  }
+  return combined.slots[static_cast<size_t>(parent)].tmpl;
+}
+
 }  // namespace
 
 Result<std::vector<SplitEntry>> SplitResult(const CombinedQuery& combined,
@@ -75,6 +85,7 @@ Result<std::vector<SplitEntry>> SplitResult(const CombinedQuery& combined,
     if (!st.current_key.has_value()) return;
     SplitEntry entry;
     entry.tmpl = combined.slots[k].tmpl;
+    entry.src = SourceOf(combined, combined.slots[k]);
     entry.key = *st.current_key;
     entry.params = std::move(st.current_params);
     entry.result =

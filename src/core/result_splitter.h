@@ -60,6 +60,10 @@ struct CombinedQuery {
 /// entry never re-materializes the rows.
 struct SplitEntry {
   TemplateId tmpl = 0;
+  /// Hit attribution: the template of the slot's first parent — the
+  /// transition-graph edge src -> tmpl that prefetched this entry — or 0
+  /// for a root slot.
+  TemplateId src = 0;
   std::string key;
   std::vector<sql::Value> params;
   std::shared_ptr<const sql::ResultSet> result;

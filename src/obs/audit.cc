@@ -104,23 +104,6 @@ Counter* PrefetchAudit::CounterFor(const char* family, const char* help,
   return counter;
 }
 
-void PrefetchAudit::BumpPlain(const char* family, const char* help,
-                              uint64_t delta) {
-  if (registry_ == nullptr || delta == 0) return;
-  std::string key;
-  key.reserve(48);
-  key.append(family).push_back('\0');
-  auto it = counters_.find(key);
-  Counter* counter;
-  if (it != counters_.end()) {
-    counter = it->second;
-  } else {
-    counter = registry_->GetCounter(family, help, {});
-    counters_.emplace(std::move(key), counter);
-  }
-  counter->Increment(delta);
-}
-
 void PrefetchAudit::BumpFamilies(const char* family, const char* help,
                                  const std::string& plan_key,
                                  const std::string& edge_key, uint64_t delta) {
@@ -223,94 +206,61 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
     case JournalEventType::kBackendRetry: {
       ++availability_.backend_retries;
       availability_.backoff_us += event.b;
-      BumpPlain("chrono_backend_retries_total",
-                "Demand-read retries after transport failures.");
       break;
     }
     case JournalEventType::kBackendTimeout: {
       ++availability_.backend_timeouts;
       if (event.flags & kJournalFlagWrite) ++availability_.write_timeouts;
-      BumpPlain("chrono_backend_timeouts_total",
-                "Remote calls abandoned at their deadline budget.");
       break;
     }
     case JournalEventType::kBreakerTransition: {
-      const char* to = "closed";
       switch (event.a) {
         case 0:
           ++availability_.breaker_closed;
-          to = "closed";
           break;
         case 1:
           ++availability_.breaker_open;
-          to = "open";
           break;
         case 2:
           ++availability_.breaker_half_open;
-          to = "half_open";
           break;
-      }
-      if (registry_ != nullptr) {
-        CounterFor("chrono_breaker_transitions_total",
-                   "Circuit-breaker state transitions by target state.",
-                   "to", to)
-            ->Increment(1);
       }
       break;
     }
     case JournalEventType::kStaleServe: {
       ++availability_.stale_serves;
       availability_.stale_age_us += event.a;
-      BumpPlain("chrono_stale_serves_total",
-                "Demand reads answered from stale cache entries after a "
-                "backend failure.");
       break;
     }
     case JournalEventType::kShed: {
-      const char* kind;
       if (event.a == kShedQueueFull) {
         ++availability_.shed_queue;
-        kind = "prefetch_queue";
       } else {
         ++availability_.shed_breaker;
-        kind = "prefetch_breaker";
-      }
-      if (registry_ != nullptr) {
-        CounterFor("chrono_shed_total",
-                   "Best-effort work shed instead of queued or retried.",
-                   "kind", kind)
-            ->Increment(1);
       }
       break;
     }
     case JournalEventType::kBackendCoalesced: {
-      ++availability_.backend_coalesced;
-      BumpPlain("chrono_backend_coalesced_total",
-                "Demand misses that joined another thread's in-flight "
-                "backend fetch instead of issuing their own.");
+      // b = 1: the parked follower rejected the inherited rows (its
+      // session had moved past the flight's snapshot) and refetched.
+      if (event.b == 1) {
+        ++availability_.coalesced_rejected;
+      } else {
+        ++availability_.backend_coalesced;
+      }
       break;
     }
     case JournalEventType::kShedQueue: {
-      const char* reason;
       switch (event.a) {
         case kOverloadShedPipeline:
           ++overload_.shed_pipeline;
-          reason = "pipeline";
           break;
         case kOverloadShedAdmission:
           ++overload_.shed_admission;
-          reason = "admission";
           break;
         default:
           ++overload_.shed_prefetch;
-          reason = "prefetch";
           break;
-      }
-      if (registry_ != nullptr) {
-        CounterFor("chrono_overload_shed_total",
-                   "Work refused by the brownout ladder, by shed reason.",
-                   "reason", reason)
-            ->Increment(1);
       }
       break;
     }
@@ -318,22 +268,11 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       ++overload_.deadline_expired;
       overload_.expired_lateness_us += event.a;
       if (event.flags & kJournalFlagDrain) ++overload_.expired_in_drain;
-      BumpPlain("chrono_overload_deadline_expired_total",
-                "Requests whose client deadline expired while queued; "
-                "rejected at dequeue without executing.");
       break;
     }
     case JournalEventType::kBrownoutTransition: {
       ++overload_.brownout_transitions;
       overload_.max_level = std::max(overload_.max_level, event.a);
-      static const char* kLevelNames[] = {"normal", "shed_prefetch",
-                                          "shed_pipeline", "reject_query"};
-      const char* to = event.a < 4 ? kLevelNames[event.a] : "unknown";
-      if (registry_ != nullptr) {
-        CounterFor("chrono_overload_brownout_transitions_total",
-                   "Brownout ladder transitions by target level.", "to", to)
-            ->Increment(1);
-      }
       break;
     }
     case JournalEventType::kWireRequest: {
@@ -350,12 +289,7 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       ++requests_;
       int outcome = std::min<int>(event.flags & 0x0f, kTraceOutcomeCount - 1);
       ++outcome_counts_[outcome];
-      if (event.flags & kJournalFlagLate) {
-        ++overload_.late_executions;
-        BumpPlain("chrono_overload_late_executions_total",
-                  "Requests executed after their client deadline had "
-                  "already expired (SS17 violation; must stay zero).");
-      }
+      if (event.flags & kJournalFlagLate) ++overload_.late_executions;
       bool has_latency = (event.flags & kJournalFlagNoLatency) == 0;
       uint64_t total_us = UnpackHi(event.c);
       if (has_latency) {
@@ -375,6 +309,13 @@ void PrefetchAudit::Fold(const JournalEvent& event) {
       if (event.plan != 0) {
         std::string plan_key = PlanKey(event.plan);
         std::string edge_key = EdgeKey(event.src, event.tmpl);
+        if (registry_ != nullptr) {
+          CounterFor("chrono_prediction_hits_total",
+                     "Cache hits attributed to the transition-graph edge "
+                     "that prefetched them.",
+                     "edge", edge_key)
+              ->Increment();
+        }
         for (Board* board : {&plans_[plan_key], &edges_[edge_key]}) {
           ++board->hits;
           auto& per_tmpl = board->hit_by_tmpl[event.tmpl];
@@ -618,6 +559,8 @@ std::string PrefetchAuditJson(const PrefetchAudit::Snapshot& snapshot) {
       .append(std::to_string(av.breaker_closed));
   out.append(",\"backend_coalesced\":")
       .append(std::to_string(av.backend_coalesced));
+  out.append(",\"coalesced_rejected\":")
+      .append(std::to_string(av.coalesced_rejected));
   const PrefetchAudit::Overload& ov = snapshot.overload;
   out.append("},\"overload\":{\"shed_prefetch\":")
       .append(std::to_string(ov.shed_prefetch));

@@ -142,10 +142,11 @@ TimeSeriesRing::Cumulative TimeSeriesRing::Collect() const {
     const MetricSnapshot* m = snap.Find(name, labels);
     return m == nullptr ? 0 : m->value;
   };
-  c.requests = counter("chrono_requests_total", {{"op", "read"}}) +
-               counter("chrono_requests_total", {{"op", "write"}});
-  c.hits = counter("chrono_cache_hits_total", {{"cache", "result"}});
-  c.misses = counter("chrono_cache_misses_total", {{"cache", "result"}});
+  c.reads = counter("chrono_requests_total", {{"op", "read"}});
+  c.requests = c.reads + counter("chrono_requests_total", {{"op", "write"}});
+  // The counters ServerMetrics::CacheHitRate() reads: reads answered from
+  // the cache after the session/security checks, over all reads.
+  c.hits = counter("chrono_read_hits_total", {});
   c.errors = counter("chrono_errors_total", {});
   c.retries = counter("chrono_backend_retries_total", {});
   c.stale = counter("chrono_stale_serves_total", {});
@@ -176,8 +177,8 @@ void TimeSeriesRing::SampleNow() {
     s.retries_ps = rate(cur.retries, prev_.retries);
     s.stale_ps = rate(cur.stale, prev_.stale);
     double dh = cur.hits - prev_.hits;
-    double dm = cur.misses - prev_.misses;
-    s.hit_rate = (dh + dm) > 0 ? dh / (dh + dm) : 0;
+    double dr = cur.reads - prev_.reads;
+    s.hit_rate = dr > 0 ? dh / dr : 0;
     HistogramSnapshot delta = DeltaHistogram(cur.latency, prev_.latency);
     // The latency family records nanoseconds; the sample reports µs.
     s.p50_us = delta.Percentile(0.5) / 1000.0;

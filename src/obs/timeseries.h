@@ -36,7 +36,7 @@ class TimeSeriesRing {
   struct Sample {
     uint64_t t_us = 0;        // clock() at sample time
     double qps = 0;           // demand requests/s over the interval
-    double hit_rate = 0;      // result-cache hit rate over the interval
+    double hit_rate = 0;      // served cache hits / reads over the interval
     double errors_ps = 0;     // request errors/s
     double retries_ps = 0;    // backend retries/s
     double stale_ps = 0;      // stale serves/s
@@ -81,8 +81,8 @@ class TimeSeriesRing {
     bool valid = false;
     uint64_t t_us = 0;
     double requests = 0;
+    double reads = 0;
     double hits = 0;
-    double misses = 0;
     double errors = 0;
     double retries = 0;
     double stale = 0;

@@ -146,24 +146,25 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
     journal_->AddSink(audit_.get());
     InstallEvictionJournal();
   }
-  // Breaker transitions flow into the journal (the listener runs under
-  // the breaker mutex; journal Record is a leaf, so this cannot invert
-  // the lock order). The audit fold turns these into
-  // chrono_breaker_transitions_total and the availability board.
+  RegisterMetrics();
+  // Breaker transitions are counted and journaled (the listener runs under
+  // the breaker mutex; counters and journal Record are leaves, so this
+  // cannot invert the lock order).
   breaker_.SetTransitionListener(
       [this](net::CircuitBreaker::State from, net::CircuitBreaker::State to) {
+        counters_.breaker_transitions[static_cast<int>(to)]->Increment();
         obs::JournalEvent event;
         event.type = obs::JournalEventType::kBreakerTransition;
         event.a = static_cast<uint64_t>(to);
         event.b = static_cast<uint64_t>(from);
         Journal(event);
       });
-  // Brownout ladder steps flow into the journal the same way (the listener
-  // runs on the sampler thread; journal Record is a leaf). The audit fold
-  // turns these into chrono_overload_brownout_transitions_total.
+  // Brownout ladder steps the same way (the listener runs on the sampler
+  // thread).
   brownout_.SetTransitionListener(
       [this](BrownoutController::Level to, BrownoutController::Level from,
              uint64_t p99_us) {
+        counters_.brownout_transitions[static_cast<int>(to)]->Increment();
         obs::JournalEvent event;
         event.type = obs::JournalEventType::kBrownoutTransition;
         event.a = static_cast<uint64_t>(to);
@@ -171,8 +172,7 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
         event.c = p99_us;
         Journal(event);
       });
-  RegisterMetrics();
-  // The sampler diffs the demand-lane wait histogram RegisterMetrics just
+  // The sampler diffs the demand-lane wait histogram RegisterMetrics
   // attached; start it only once that signal exists.
   if (brownout_.enabled()) {
     brownout_thread_ = std::thread([this] { BrownoutLoop(); });
@@ -227,7 +227,7 @@ void ChronoServer::BrownoutLoop() {
 
 void ChronoServer::RecordOverloadShed(uint64_t reason, ClientId client,
                                       uint32_t retry_after_ms) {
-  metrics_.brownout_sheds.fetch_add(1, std::memory_order_relaxed);
+  counters_.overload_shed[reason]->Increment();
   obs::JournalEvent event;
   event.type = obs::JournalEventType::kShedQueue;
   event.a = reason;
@@ -244,6 +244,87 @@ void ChronoServer::RegisterMetrics() {
   // Static build identity (version / git sha / build type / sanitizer) as
   // a constant-1 info gauge.
   obs::RegisterBuildInfo(r);
+
+  // The outcome counters: one family (or label) per outcome, the only
+  // count of it anywhere in the node (DESIGN.md §9).
+  Counters& c = counters_;
+  const char* requests_help = "Client statements served";
+  c.reads = r->GetCounter("chrono_requests_total", requests_help,
+                          {{"op", "read"}});
+  c.writes = r->GetCounter("chrono_requests_total", requests_help,
+                           {{"op", "write"}});
+  c.read_hits = r->GetCounter(
+      "chrono_read_hits_total",
+      "Client reads answered from the result cache after the session and "
+      "security checks (inline prediction hits included)");
+  c.cache_rejects = r->GetCounter(
+      "chrono_cache_rejects_total",
+      "Cached results rejected by session/security checks");
+  c.remote_plain = r->GetCounter("chrono_remote_plain_total",
+                                 "Plain (uncombined) remote reads");
+  c.backend_coalesced = r->GetCounter(
+      "chrono_backend_coalesced_total",
+      "Demand misses answered by another thread's in-flight backend fetch "
+      "instead of issuing their own");
+  c.remote_combined = r->GetCounter("chrono_remote_combined_total",
+                                    "Combined queries sent to the database");
+  c.predictions_cached = r->GetCounter("chrono_predictions_cached_total",
+                                       "Result sets cached ahead of demand");
+  c.prediction_hits = r->GetCounter(
+      "chrono_prediction_inline_hits_total",
+      "Misses rescued by an inline covering combined query");
+  c.prediction_fallbacks = r->GetCounter(
+      "chrono_prediction_fallbacks_total",
+      "Inline combined queries that missed the asked-for result");
+  c.prefetched_hits = r->GetCounter(
+      "chrono_prefetched_hits_total",
+      "Cache hits served from predictively prefetched entries");
+  c.errors = r->GetCounter("chrono_errors_total",
+                           "Statements that returned a status");
+  c.backend_retries = r->GetCounter(
+      "chrono_backend_retries_total",
+      "Demand-read retries after transport failures");
+  c.backend_timeouts = r->GetCounter(
+      "chrono_backend_timeouts_total",
+      "Remote calls abandoned at their deadline budget");
+  c.stale_serves = r->GetCounter(
+      "chrono_stale_serves_total",
+      "Demand reads answered from stale cache entries after a backend "
+      "failure");
+  c.breaker_rejects = r->GetCounter(
+      "chrono_breaker_rejects_total",
+      "Demand calls rejected fast while the breaker was open");
+  c.late_executions = r->GetCounter(
+      "chrono_overload_late_executions_total",
+      "Requests executed after their client deadline had already expired "
+      "(SS17 violation; must stay zero)");
+  const char* shed_help = "Best-effort work shed instead of queued or retried";
+  c.shed[obs::kShedQueueFull] = r->GetCounter(
+      "chrono_shed_total", shed_help, {{"kind", "prefetch_queue"}});
+  c.shed[obs::kShedBreakerUnhealthy] = r->GetCounter(
+      "chrono_shed_total", shed_help, {{"kind", "prefetch_breaker"}});
+  const char* overload_help =
+      "Work refused by the brownout ladder, by shed reason";
+  c.overload_shed[obs::kOverloadShedPrefetch] = r->GetCounter(
+      "chrono_overload_shed_total", overload_help, {{"reason", "prefetch"}});
+  c.overload_shed[obs::kOverloadShedPipeline] = r->GetCounter(
+      "chrono_overload_shed_total", overload_help, {{"reason", "pipeline"}});
+  c.overload_shed[obs::kOverloadShedAdmission] = r->GetCounter(
+      "chrono_overload_shed_total", overload_help, {{"reason", "admission"}});
+  const char* breaker_states[] = {"closed", "open", "half_open"};
+  for (int i = 0; i < 3; ++i) {
+    c.breaker_transitions[i] = r->GetCounter(
+        "chrono_breaker_transitions_total",
+        "Circuit-breaker state transitions by target state",
+        {{"to", breaker_states[i]}});
+  }
+  const char* levels[] = {"normal", "shed_prefetch", "shed_pipeline",
+                          "reject_query"};
+  for (int i = 0; i < BrownoutController::kLevelCount; ++i) {
+    c.brownout_transitions[i] = r->GetCounter(
+        "chrono_overload_brownout_transitions_total",
+        "Brownout ladder transitions by target level", {{"to", levels[i]}});
+  }
 
   // Stage + request latency histograms (push-mode, lock-free hot path).
   for (int s = 0; s < static_cast<int>(obs::Stage::kCount); ++s) {
@@ -306,9 +387,11 @@ void ChronoServer::RegisterMetrics() {
       "Tasks that exited via an exception", {},
       [this] { return static_cast<double>(pool_.tasks_failed()); }, owner);
   r->RegisterCallbackCounter(
-      "chrono_pool_tasks_expired_total",
-      "Tasks rejected unexecuted at dequeue: deadline already passed", {},
-      [this] { return static_cast<double>(pool_.tasks_expired()); }, owner);
+      "chrono_overload_deadline_expired_total",
+      "Requests whose client deadline expired while queued; rejected at "
+      "dequeue without executing",
+      {}, [this] { return static_cast<double>(pool_.tasks_expired()); },
+      owner);
   r->RegisterCallbackGauge(
       "chrono_overload_brownout_level",
       "Brownout ladder level (0=normal 1=shed-prefetch 2=shed-pipeline "
@@ -319,65 +402,10 @@ void ChronoServer::RegisterMetrics() {
       },
       owner);
 
-  // ServerMetrics mirrored as counters so dashboards see live values.
-  auto server_counter = [&](const char* name, const char* help,
-                            const std::atomic<uint64_t>* field) {
-    r->RegisterCallbackCounter(
-        name, help, {},
-        [field] {
-          return static_cast<double>(
-              field->load(std::memory_order_relaxed));
-        },
-        owner);
-  };
-  r->RegisterCallbackCounter(
-      "chrono_requests_total", "Client statements served", {{"op", "read"}},
-      [this] {
-        return static_cast<double>(
-            metrics_.reads.load(std::memory_order_relaxed));
-      },
-      owner);
-  r->RegisterCallbackCounter(
-      "chrono_requests_total", "Client statements served", {{"op", "write"}},
-      [this] {
-        return static_cast<double>(
-            metrics_.writes.load(std::memory_order_relaxed));
-      },
-      owner);
-  server_counter("chrono_cache_rejects_total",
-                 "Cached results rejected by session/security checks",
-                 &metrics_.cache_rejects);
-  server_counter("chrono_remote_plain_total",
-                 "Plain (uncombined) remote reads", &metrics_.remote_plain);
-  server_counter("chrono_remote_combined_total",
-                 "Combined queries sent to the database",
-                 &metrics_.remote_combined);
-  server_counter("chrono_predictions_cached_total",
-                 "Result sets cached ahead of demand",
-                 &metrics_.predictions_cached);
-  server_counter("chrono_prediction_inline_hits_total",
-                 "Misses rescued by an inline covering combined query",
-                 &metrics_.prediction_hits);
-  server_counter("chrono_prediction_fallbacks_total",
-                 "Inline combined queries that missed the asked-for result",
-                 &metrics_.prediction_fallbacks);
-  server_counter("chrono_prefetched_hits_total",
-                 "Cache hits served from predictively prefetched entries",
-                 &metrics_.prefetched_hits);
-  server_counter("chrono_prefetches_dropped_total",
-                 "Background prefetches rejected by a full queue",
-                 &metrics_.prefetches_dropped);
-  server_counter("chrono_errors_total", "Statements that returned a status",
-                 &metrics_.errors);
   r->RegisterCallbackGauge(
       "chrono_sessions", "Live client sessions", {},
       [this] { return static_cast<double>(session_count()); }, owner);
 
-  // Fault-tolerance surface. The journal-fed audit owns the canonical
-  // chrono_backend_retries_total / chrono_backend_timeouts_total /
-  // chrono_stale_serves_total / chrono_shed_total families — they reconcile
-  // with journaled events by construction — so what is registered here is
-  // only state that never flows through the journal.
   r->RegisterCallbackGauge(
       "chrono_breaker_state",
       "Remote-DB circuit breaker state (0=closed, 1=open, 2=half-open)", {},
@@ -385,9 +413,6 @@ void ChronoServer::RegisterMetrics() {
         return static_cast<double>(static_cast<int>(breaker_.state()));
       },
       owner);
-  server_counter("chrono_breaker_rejects_total",
-                 "Demand calls rejected fast while the breaker was open",
-                 &metrics_.breaker_rejects);
   r->RegisterCallbackCounter(
       "chrono_faults_injected_total",
       "Transport faults injected by the scripted fault schedule", {},
@@ -532,23 +557,16 @@ void ChronoServer::InstallEvictionJournal() {
   });
 }
 
-void ChronoServer::RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl) {
-  metrics_.prefetched_hits.fetch_add(1, std::memory_order_relaxed);
-  std::string edge = (src_tmpl == 0 ? std::string("root")
-                                    : std::to_string(src_tmpl)) +
-                     "->" + std::to_string(dst_tmpl);
-  metrics_registry_
-      ->GetCounter("chrono_prediction_hits_total",
-                   "Cache hits attributed to the transition-graph edge that "
-                   "prefetched them (src template -> hit template)",
-                   {{"edge", std::move(edge)}})
-      ->Increment();
-}
-
 void ChronoServer::FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
                                  const std::string& sql) {
   uint64_t total_ns = NsBetween(ctx->t0, std::chrono::steady_clock::now());
   (read_only ? request_read_hist_ : request_write_hist_)->Record(total_ns);
+  // §17 invariant violation: a request whose client deadline had already
+  // passed when the pipeline started should have been rejected at
+  // dequeue, never executed. The count must stay zero.
+  const bool late = ctx->wire != nullptr && ctx->wire->deadline_us != 0 &&
+                    ctx->start_us > ctx->wire->deadline_us;
+  if (late) counters_.late_executions->Increment();
   if (journal_ != nullptr) {
     obs::JournalEvent event;
     event.type = obs::JournalEventType::kRequest;
@@ -557,14 +575,7 @@ void ChronoServer::FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
     event.plan = ctx->prefetch_plan;
     event.src = ctx->prefetch_src;
     event.flags = static_cast<uint8_t>(ctx->outcome);
-    // §17 invariant violation marker: a request whose client deadline had
-    // already passed when the pipeline started should have been rejected
-    // at dequeue, never executed. The audit counts these; the count must
-    // stay zero.
-    if (ctx->wire != nullptr && ctx->wire->deadline_us != 0 &&
-        ctx->start_us > ctx->wire->deadline_us) {
-      event.flags |= obs::kJournalFlagLate;
-    }
+    if (late) event.flags |= obs::kJournalFlagLate;
     uint64_t stage_us[static_cast<int>(obs::Stage::kCount)] = {};
     for (const obs::TraceSpan& span : ctx->spans) {
       stage_us[static_cast<int>(span.stage)] += span.dur_us;
@@ -716,7 +727,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
   if (!call.is_prefetch) {
     admission = breaker_.AdmitDemand();
     if (admission == net::CircuitBreaker::Admission::kRejected) {
-      metrics_.breaker_rejects.fetch_add(1, std::memory_order_relaxed);
+      counters_.breaker_rejects->Increment();
       if (call.ctx != nullptr) {
         call.ctx->Note(obs::AnnotationKind::kBreakerReject,
                        static_cast<uint64_t>(breaker_.state()));
@@ -776,7 +787,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
     bool transport_failed =
         !outcome.ok() && IsBackendFailure(outcome.status());
     if (timed_out) {
-      metrics_.backend_timeouts.fetch_add(1, std::memory_order_relaxed);
+      counters_.backend_timeouts->Increment();
       if (call.ctx != nullptr) {
         call.ctx->Note(obs::AnnotationKind::kAttemptTimeout, attempt_cap);
       }
@@ -813,7 +824,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
         jitter_ordinal_.fetch_add(1, std::memory_order_relaxed)));
     uint64_t backoff = retry_.BackoffUs(attempts, u);
     if (left != UINT64_MAX && backoff >= left) backoff = left / 2;
-    metrics_.backend_retries.fetch_add(1, std::memory_order_relaxed);
+    counters_.backend_retries->Increment();
     if (call.ctx != nullptr) {
       call.ctx->Note(obs::AnnotationKind::kRetry,
                      static_cast<uint64_t>(attempts));
@@ -832,11 +843,7 @@ Result<db::ExecOutcome> ChronoServer::CallBackend(
 
 void ChronoServer::ShedPrefetch(uint64_t kind, uint64_t plan_id,
                                 ClientId client) {
-  if (kind == obs::kShedQueueFull) {
-    metrics_.prefetches_dropped.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    metrics_.prefetches_shed_breaker.fetch_add(1, std::memory_order_relaxed);
-  }
+  counters_.shed[kind]->Increment();
   obs::JournalEvent event;
   event.type = obs::JournalEventType::kShed;
   event.a = kind;
@@ -854,7 +861,7 @@ SharedResult ChronoServer::TryServeStale(
   uint64_t now = NowMicros();
   uint64_t age = now > candidate->install_us ? now - candidate->install_us : 0;
   if (age > config_.stale_serve_us) return nullptr;
-  metrics_.stale_serves.fetch_add(1, std::memory_order_relaxed);
+  counters_.stale_serves->Increment();
   last_stale_us_.store(now, std::memory_order_relaxed);
   if (ctx != nullptr) {
     ctx->outcome = obs::TraceOutcome::kStaleHit;
@@ -876,36 +883,31 @@ size_t ChronoServer::session_count() const {
 }
 
 ServerMetrics ChronoServer::metrics() const {
+  const Counters& c = counters_;
   ServerMetrics m;
-  m.reads = metrics_.reads.load(std::memory_order_relaxed);
-  m.writes = metrics_.writes.load(std::memory_order_relaxed);
-  m.cache_hits = metrics_.cache_hits.load(std::memory_order_relaxed);
-  m.cache_rejects = metrics_.cache_rejects.load(std::memory_order_relaxed);
-  m.remote_plain = metrics_.remote_plain.load(std::memory_order_relaxed);
-  m.backend_coalesced =
-      metrics_.backend_coalesced.load(std::memory_order_relaxed);
-  m.remote_combined = metrics_.remote_combined.load(std::memory_order_relaxed);
-  m.predictions_cached =
-      metrics_.predictions_cached.load(std::memory_order_relaxed);
-  m.prediction_hits = metrics_.prediction_hits.load(std::memory_order_relaxed);
-  m.prediction_fallbacks =
-      metrics_.prediction_fallbacks.load(std::memory_order_relaxed);
-  m.prefetched_hits =
-      metrics_.prefetched_hits.load(std::memory_order_relaxed);
-  m.prefetches_dropped =
-      metrics_.prefetches_dropped.load(std::memory_order_relaxed);
-  m.errors = metrics_.errors.load(std::memory_order_relaxed);
-  m.backend_retries = metrics_.backend_retries.load(std::memory_order_relaxed);
-  m.backend_timeouts =
-      metrics_.backend_timeouts.load(std::memory_order_relaxed);
-  m.stale_serves = metrics_.stale_serves.load(std::memory_order_relaxed);
-  m.prefetches_shed_breaker =
-      metrics_.prefetches_shed_breaker.load(std::memory_order_relaxed);
-  m.breaker_rejects = metrics_.breaker_rejects.load(std::memory_order_relaxed);
+  m.reads = c.reads->value();
+  m.writes = c.writes->value();
+  m.cache_hits = c.read_hits->value();
+  m.cache_rejects = c.cache_rejects->value();
+  m.remote_plain = c.remote_plain->value();
+  m.backend_coalesced = c.backend_coalesced->value();
+  m.remote_combined = c.remote_combined->value();
+  m.predictions_cached = c.predictions_cached->value();
+  m.prediction_hits = c.prediction_hits->value();
+  m.prediction_fallbacks = c.prediction_fallbacks->value();
+  m.prefetched_hits = c.prefetched_hits->value();
+  m.prefetches_dropped = c.shed[obs::kShedQueueFull]->value();
+  m.errors = c.errors->value();
+  m.backend_retries = c.backend_retries->value();
+  m.backend_timeouts = c.backend_timeouts->value();
+  m.stale_serves = c.stale_serves->value();
+  m.prefetches_shed_breaker = c.shed[obs::kShedBreakerUnhealthy]->value();
+  m.breaker_rejects = c.breaker_rejects->value();
   m.faults_injected = fault_.faults_injected();
-  m.deadline_expired =
-      metrics_.deadline_expired.load(std::memory_order_relaxed);
-  m.brownout_sheds = metrics_.brownout_sheds.load(std::memory_order_relaxed);
+  m.deadline_expired = pool_.tasks_expired();
+  for (const obs::Counter* shed : c.overload_shed) {
+    m.brownout_sheds += shed->value();
+  }
   return m;
 }
 
@@ -992,7 +994,6 @@ void ChronoServer::SubmitAsync(
         std::move(work),
         start_ + std::chrono::microseconds(deadline_us),
         [this, callback, client, deadline_us, budget_ms]() {
-          metrics_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
           uint64_t now = NowMicros();
           obs::JournalEvent event;
           event.type = obs::JournalEventType::kDeadlineExpired;
@@ -1040,7 +1041,7 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
     parsed = Analyze(sql);
   }
   if (!parsed.ok()) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.errors->Increment();
     ctx.outcome = obs::TraceOutcome::kError;
     FinishRequest(&ctx, client, /*read_only=*/true, sql);
     if (pending != nullptr) *pending = std::move(ctx.pending);
@@ -1051,11 +1052,11 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
 
   Result<SharedResult> result = Status::OK();
   if (!read_only) {
-    metrics_.writes.fetch_add(1, std::memory_order_relaxed);
+    counters_.writes->Increment();
     ctx.outcome = obs::TraceOutcome::kWrite;
     result = DoWrite(client, *parsed, &ctx);
   } else {
-    metrics_.reads.fetch_add(1, std::memory_order_relaxed);
+    counters_.reads->Increment();
     result = DoRead(client, security_group, *parsed, &ctx);
   }
   if (!result.ok()) ctx.outcome = obs::TraceOutcome::kError;
@@ -1110,7 +1111,7 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
     });
   }
   if (!outcome.ok()) {
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.errors->Increment();
     return outcome.status();
   }
   {
@@ -1219,6 +1220,20 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
   }
 
+  // A served cache hit, attributed to the prefetch that installed the
+  // entry (if any) for the trace and the journal's edge boards.
+  auto serve_hit = [&](const cache::CachedResult& hit,
+                       obs::TraceOutcome outcome) {
+    counters_.read_hits->Increment();
+    ctx->outcome = outcome;
+    if (hit.prefetch_plan != 0) {
+      counters_.prefetched_hits->Increment();
+      ctx->prefetch_plan = hit.prefetch_plan;
+      ctx->prefetch_src = hit.prefetch_src;
+    }
+    return respond(hit.result);
+  };
+
   // A version-stale (but security-cleared) entry seen during the lookup:
   // kept around as the degraded answer of last resort.
   std::optional<cache::CachedResult> stale_candidate;
@@ -1229,16 +1244,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed.bound_text,
                      &stale_candidate);
     }
-    if (hit.has_value()) {
-      metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      ctx->outcome = obs::TraceOutcome::kCacheHit;
-      if (hit->prefetch_plan != 0) {
-        ctx->prefetch_plan = hit->prefetch_plan;
-        ctx->prefetch_src = hit->prefetch_src;
-        RecordPrefetchedHit(hit->prefetch_src, tmpl);
-      }
-      return respond(hit->result);
-    }
+    if (hit.has_value()) return serve_hit(*hit, obs::TraceOutcome::kCacheHit);
   }
 
   // Miss with a covering combined plan: execute it inline — the wall-clock
@@ -1252,17 +1258,10 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       hit = CacheGet(client, security_group, parsed.bound_text);
     }
     if (hit.has_value()) {
-      metrics_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
-      metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      ctx->outcome = obs::TraceOutcome::kPredictionHit;
-      if (hit->prefetch_plan != 0) {
-        ctx->prefetch_plan = hit->prefetch_plan;
-        ctx->prefetch_src = hit->prefetch_src;
-        RecordPrefetchedHit(hit->prefetch_src, tmpl);
-      }
-      return respond(hit->result);
+      counters_.prediction_hits->Increment();
+      return serve_hit(*hit, obs::TraceOutcome::kPredictionHit);
     }
-    metrics_.prediction_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    counters_.prediction_fallbacks->Increment();
   }
 
   // Plain remote execution, single-flighted per {cache key, security
@@ -1349,7 +1348,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
       Journal(event);
     }
     if (!shared.ok()) {
-      metrics_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
+      counters_.backend_coalesced->Increment();
       ctx->outcome = obs::TraceOutcome::kCoalescedHit;
       if (IsBackendFailure(shared.status())) {
         if (auto stale = TryServeStale(stale_candidate,
@@ -1358,11 +1357,11 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
           return stale;
         }
       }
-      metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+      counters_.errors->Increment();
       return shared.status();
     }
     if (version_ok) {
-      metrics_.backend_coalesced.fetch_add(1, std::memory_order_relaxed);
+      counters_.backend_coalesced->Increment();
       ctx->outcome = obs::TraceOutcome::kCoalescedHit;
       return respond(shared->result);
     }
@@ -1373,7 +1372,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
 
   // Leader: bind the template's AST (no re-parse) and run it under reader
   // access.
-  metrics_.remote_plain.fetch_add(1, std::memory_order_relaxed);
+  counters_.remote_plain->Increment();
   ctx->outcome = obs::TraceOutcome::kRemotePlain;
 
   // Resolves the registered flight exactly once: the map entry goes first
@@ -1438,7 +1437,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
         return stale;
       }
     }
-    metrics_.errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.errors->Increment();
     return outcome.status();
   }
   CachePut(client, security_group, tmpl, parsed.bound_text, payload);
@@ -1460,7 +1459,7 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
     ShedPrefetch(obs::kShedBreakerUnhealthy, plan_id, client);
     return false;
   }
-  metrics_.remote_combined.fetch_add(1, std::memory_order_relaxed);
+  counters_.remote_combined->Increment();
   {
     obs::JournalEvent event;
     event.type = obs::JournalEventType::kCombinedIssued;
@@ -1505,25 +1504,10 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
   }
   if (!split.ok()) return false;
 
-  // Hit attribution: the transition-graph edge that prefetched a slot is
-  // (first parent slot's template -> slot template); roots keep src 0.
-  std::map<core::TemplateId, core::TemplateId> src_of;
-  for (const core::DecodeSlot& slot : plan.slots) {
-    core::TemplateId src = 0;
-    if (!slot.parents.empty()) {
-      int parent = slot.parents.front();
-      if (parent >= 0 && static_cast<size_t>(parent) < plan.slots.size()) {
-        src = plan.slots[static_cast<size_t>(parent)].tmpl;
-      }
-    }
-    src_of.emplace(slot.tmpl, src);
-  }
-
   for (const core::SplitEntry& entry : *split) {
-    auto it = src_of.find(entry.tmpl);
     CachePut(client, security_group, entry.tmpl, entry.key, entry.result,
-             plan_id, it == src_of.end() ? 0 : it->second);
-    metrics_.predictions_cached.fetch_add(1, std::memory_order_relaxed);
+             plan_id, entry.src);
+    counters_.predictions_cached->Increment();
   }
   {
     std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
@@ -1546,7 +1530,7 @@ std::optional<cache::CachedResult> ChronoServer::CacheGet(
   std::optional<cache::CachedResult> entry = cache_.Get(key);
   if (!entry.has_value()) return std::nullopt;
   if (entry->security_group != security_group) {
-    metrics_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
+    counters_.cache_rejects->Increment();
     return std::nullopt;
   }
   bool version_ok;
@@ -1556,7 +1540,7 @@ std::optional<cache::CachedResult> ChronoServer::CacheGet(
     if (version_ok) versions_.AbsorbResult(client, entry->version);
   }
   if (!version_ok) {
-    metrics_.cache_rejects.fetch_add(1, std::memory_order_relaxed);
+    counters_.cache_rejects->Increment();
     // A security-cleared entry that merely failed the version check is
     // exactly what stale-serving may fall back to; hand the caller a copy
     // before any invalidation below.

@@ -76,7 +76,10 @@ struct ServerConfig {
   /// External metrics registry (must outlive the server); the server owns
   /// a private one when null, so instrumentation is always live. All
   /// stages, the pool, the shards and the database report through this
-  /// one registry (DESIGN.md §9).
+  /// one registry (DESIGN.md §9). One registry serves one live node: the
+  /// outcome counters are get-or-create push counters, so they outlive
+  /// their server and a second node on the same registry would add into
+  /// the first one's counts.
   obs::MetricsRegistry* registry = nullptr;
   /// Recent-request trace ring size; 0 disables per-request tracing.
   size_t trace_capacity = 256;
@@ -153,7 +156,8 @@ struct ServerConfig {
   bool lock_telemetry = true;
 };
 
-/// \brief Wall-clock serving metrics (relaxed atomics; Snapshot() copies).
+/// \brief Wall-clock serving metrics: a point-in-time copy of the node's
+/// registry counters (ChronoServer::metrics()), one field per outcome.
 struct ServerMetrics {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -304,6 +308,10 @@ class ChronoServer {
   /// server itself for brownout-shed prefetches.
   void RecordOverloadShed(uint64_t reason, ClientId client,
                           uint32_t retry_after_ms);
+  /// Overload sheds counted so far for one kOverloadShed* reason.
+  uint64_t overload_sheds(uint64_t reason) const {
+    return counters_.overload_shed[reason]->value();
+  }
   /// The exact status delivered when a queued request's deadline expired
   /// before any worker dequeued it (§17): rejected in O(1), never
   /// executed. The wire frontend uses this to stamp kFlagExpired on the
@@ -453,8 +461,8 @@ class ChronoServer {
                 const std::string& bound_text, SharedResult result,
                 uint64_t prefetch_plan = 0, uint64_t prefetch_src = 0);
 
-  /// Registers every pull-mode metric (counters mirroring ServerMetrics,
-  /// cache/pool/shard gauges) and creates the stage histograms.
+  /// Resolves the outcome counters, registers the pull-mode metrics
+  /// (cache/pool/shard gauges) and creates the stage histograms.
   void RegisterMetrics();
   /// Records one journal event if the journal is enabled (lock-free; safe
   /// under any server lock — the journal's own locks are leaves).
@@ -464,8 +472,6 @@ class ChronoServer {
   /// Installs the cache eviction callback translating entry removals into
   /// kEntryEvicted / kEntryInvalidated journal events.
   void InstallEvictionJournal();
-  /// Bumps the per-edge attributed prediction-hit counter.
-  void RecordPrefetchedHit(uint64_t src_tmpl, uint64_t dst_tmpl);
   /// Publishes the finished request to the histograms and the trace ring
   /// (or defers the trace into ctx for the wire path, see ExecuteInternal).
   void FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
@@ -550,16 +556,21 @@ class ChronoServer {
   /// cannot be scheduled reliably through the public API.
   friend struct SingleFlightTestPeer;
 
-  struct {
-    std::atomic<uint64_t> reads{0}, writes{0}, cache_hits{0},
-        cache_rejects{0}, remote_plain{0}, backend_coalesced{0},
-        remote_combined{0},
-        predictions_cached{0}, prediction_hits{0}, prediction_fallbacks{0},
-        prefetched_hits{0}, prefetches_dropped{0}, errors{0},
-        backend_retries{0}, backend_timeouts{0}, stale_serves{0},
-        prefetches_shed_breaker{0}, breaker_rejects{0}, deadline_expired{0},
-        brownout_sheds{0};
-  } metrics_;
+  /// One registry counter per outcome (DESIGN.md §9), resolved once in
+  /// RegisterMetrics and bumped where the outcome is decided: metrics(),
+  /// /metrics and /timeseries all read these, so no copy can drift.
+  struct Counters {
+    obs::Counter *reads, *writes, *read_hits, *cache_rejects, *remote_plain,
+        *backend_coalesced, *remote_combined, *predictions_cached,
+        *prediction_hits, *prediction_fallbacks, *prefetched_hits, *errors,
+        *backend_retries, *backend_timeouts, *stale_serves, *breaker_rejects,
+        *late_executions;
+    obs::Counter* shed[2];           // by kShed kind
+    obs::Counter* overload_shed[3];  // by kOverloadShed* reason
+    obs::Counter* breaker_transitions[3];  // by target breaker state
+    obs::Counter* brownout_transitions[BrownoutController::kLevelCount];
+  };
+  Counters counters_{};
 
   // Fault-tolerance layer (DESIGN.md §11). The breaker mutex and the
   // injector's atomics sit outside the server lock order: backend call

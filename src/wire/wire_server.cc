@@ -40,48 +40,44 @@ uint64_t RelSince(uint64_t now_us, const obs::RequestTrace& trace) {
 WireServer::WireServer(runtime::ChronoServer* server, Options options)
     : server_(server),
       options_(std::move(options)),
-      completions_mutex_(server_->contention() != nullptr
-                             ? server_->contention()->Site("wire.completions")
-                             : nullptr) {
+      completions_mutex_(server_->contention()->Site("wire.completions")) {
   obs::MetricsRegistry* registry = server_->registry();
-  if (registry != nullptr) {
-    active_gauge_ = registry->GetGauge(
-        "chrono_wire_connections",
-        "Current wire connections by state.", {{"state", "active"}});
-    accepted_counter_ = registry->GetCounter(
-        "chrono_wire_connections_accepted_total",
-        "Wire connections accepted since start.");
-    rejected_counter_ = registry->GetCounter(
-        "chrono_wire_connections_rejected_total",
-        "Wire connections refused at the max_connections admission cap.");
-    const char* closed_help = "Wire connections closed, by reason.";
-    closed_client_counter_ =
-        registry->GetCounter("chrono_wire_connections_closed_total",
-                             closed_help, {{"reason", "client"}});
-    closed_idle_counter_ =
-        registry->GetCounter("chrono_wire_connections_closed_total",
-                             closed_help, {{"reason", "idle"}});
-    closed_error_counter_ =
-        registry->GetCounter("chrono_wire_connections_closed_total",
-                             closed_help, {{"reason", "error"}});
-    const char* bytes_help = "Wire payload traffic in bytes, by direction.";
-    bytes_in_counter_ = registry->GetCounter("chrono_wire_bytes_total",
-                                             bytes_help, {{"direction", "in"}});
-    bytes_out_counter_ = registry->GetCounter(
-        "chrono_wire_bytes_total", bytes_help, {{"direction", "out"}});
-    const char* frames_help = "Wire frames processed, by direction.";
-    frames_in_counter_ = registry->GetCounter(
-        "chrono_wire_frames_total", frames_help, {{"direction", "in"}});
-    frames_out_counter_ = registry->GetCounter(
-        "chrono_wire_frames_total", frames_help, {{"direction", "out"}});
-    protocol_errors_counter_ = registry->GetCounter(
-        "chrono_wire_protocol_errors_total",
-        "Malformed or oversized frames that forced a connection close.");
-    latency_hist_ = registry->GetHistogram(
-        "chrono_wire_request_latency_us",
-        "Wire request latency in microseconds: frame decoded to response "
-        "frame queued for the socket.");
-  }
+  active_gauge_ = registry->GetGauge(
+      "chrono_wire_connections", "Current wire connections by state.",
+      {{"state", "active"}});
+  accepted_counter_ =
+      registry->GetCounter("chrono_wire_connections_accepted_total",
+                           "Wire connections accepted since start.");
+  rejected_counter_ = registry->GetCounter(
+      "chrono_wire_connections_rejected_total",
+      "Wire connections refused at the max_connections admission cap.");
+  const char* closed_help = "Wire connections closed, by reason.";
+  closed_client_counter_ =
+      registry->GetCounter("chrono_wire_connections_closed_total",
+                           closed_help, {{"reason", "client"}});
+  closed_idle_counter_ =
+      registry->GetCounter("chrono_wire_connections_closed_total",
+                           closed_help, {{"reason", "idle"}});
+  closed_error_counter_ =
+      registry->GetCounter("chrono_wire_connections_closed_total",
+                           closed_help, {{"reason", "error"}});
+  const char* bytes_help = "Wire payload traffic in bytes, by direction.";
+  bytes_in_counter_ = registry->GetCounter("chrono_wire_bytes_total",
+                                           bytes_help, {{"direction", "in"}});
+  bytes_out_counter_ = registry->GetCounter(
+      "chrono_wire_bytes_total", bytes_help, {{"direction", "out"}});
+  const char* frames_help = "Wire frames processed, by direction.";
+  frames_in_counter_ = registry->GetCounter(
+      "chrono_wire_frames_total", frames_help, {{"direction", "in"}});
+  frames_out_counter_ = registry->GetCounter(
+      "chrono_wire_frames_total", frames_help, {{"direction", "out"}});
+  protocol_errors_counter_ = registry->GetCounter(
+      "chrono_wire_protocol_errors_total",
+      "Malformed or oversized frames that forced a connection close.");
+  latency_hist_ = registry->GetHistogram(
+      "chrono_wire_request_latency_us",
+      "Wire request latency in microseconds: frame decoded to response "
+      "frame queued for the socket.");
 }
 
 WireServer::~WireServer() { Stop(); }
@@ -212,8 +208,7 @@ void WireServer::AcceptAll() {
           0, Status::Unavailable("server at max_connections; try later"));
       net::SendAll(fd, frame.data(), frame.size());
       ::close(fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (rejected_counter_) rejected_counter_->Increment();
+      rejected_counter_->Increment();
       continue;
     }
     net::SetNoDelay(fd);
@@ -229,12 +224,8 @@ void WireServer::AcceptAll() {
       continue;
     }
     conns_.emplace(fd, conn);
-    active_.fetch_add(1, std::memory_order_relaxed);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (accepted_counter_) accepted_counter_->Increment();
-    if (active_gauge_) {
-      active_gauge_->Set(static_cast<double>(conns_.size()));
-    }
+    accepted_counter_->Increment();
+    active_gauge_->Set(static_cast<double>(conns_.size()));
   }
 }
 
@@ -245,11 +236,7 @@ void WireServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
-      bytes_in_.fetch_add(static_cast<uint64_t>(n),
-                          std::memory_order_relaxed);
-      if (bytes_in_counter_) {
-        bytes_in_counter_->Increment(static_cast<uint64_t>(n));
-      }
+      bytes_in_counter_->Increment(static_cast<uint64_t>(n));
       conn->last_activity_us = NowMicros();
       if (!DrainInbuf(conn)) return;  // connection closed
       if (conn->stopped_reading) return;  // backpressure kicked in
@@ -292,20 +279,17 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
       return true;
     }
     if (status == DecodeStatus::kError) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (protocol_errors_counter_) protocol_errors_counter_->Increment();
+      protocol_errors_counter_->Increment();
       ProtocolError(conn, 0, error);
       return false;
     }
     conn->inbuf.erase(0, consumed);
     conn->partial_since_us = 0;
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (frames_in_counter_) frames_in_counter_->Increment();
+    frames_in_counter_->Increment();
 
     const uint64_t request_id = frame.header.request_id;
     if (!conn->hello_done && frame.header.type != MessageType::kHello) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (protocol_errors_counter_) protocol_errors_counter_->Increment();
+      protocol_errors_counter_->Increment();
       ProtocolError(conn, request_id,
                     Status::InvalidArgument("first frame must be Hello"));
       return false;
@@ -314,8 +298,7 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
       case MessageType::kHello: {
         Result<HelloBody> hello = DecodeHello(frame.payload);
         if (!hello.ok()) {
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (protocol_errors_counter_) protocol_errors_counter_->Increment();
+          protocol_errors_counter_->Increment();
           ProtocolError(conn, request_id, hello.status());
           return false;
         }
@@ -335,8 +318,7 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
         Result<QueryBody> query =
             DecodeQuery(frame.payload, frame.header.flags);
         if (!query.ok()) {
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (protocol_errors_counter_) protocol_errors_counter_->Increment();
+          protocol_errors_counter_->Increment();
           ProtocolError(conn, request_id, query.status());
           return false;
         }
@@ -370,7 +352,6 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
         }
         if (shed) {
           const uint32_t retry_after = server_->brownout_retry_after_ms();
-          overload_rejects_.fetch_add(1, std::memory_order_relaxed);
           server_->RecordOverloadShed(
               shed_reason, static_cast<runtime::ClientId>(conn->client_id),
               retry_after);
@@ -403,8 +384,7 @@ bool WireServer::DrainInbuf(const std::shared_ptr<Conn>& conn) {
       }
       case MessageType::kResult:
       case MessageType::kError: {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        if (protocol_errors_counter_) protocol_errors_counter_->Increment();
+        protocol_errors_counter_->Increment();
         ProtocolError(conn, request_id,
                       Status::InvalidArgument(
                           "clients may not send Result/Error frames"));
@@ -464,8 +444,7 @@ void WireServer::DispatchQuery(const std::shared_ptr<Conn>& conn,
                               /*retry_after_ms=*/0, version);
         }
         const uint64_t latency_us = NowMicros() - t0;
-        requests_.fetch_add(1, std::memory_order_relaxed);
-        if (latency_hist_) latency_hist_->Record(latency_us);
+        latency_hist_->Record(latency_us);
         if (obs::EventJournal* journal = server_->journal()) {
           obs::JournalEvent event;
           event.type = obs::JournalEventType::kWireRequest;
@@ -543,8 +522,7 @@ void WireServer::SendFrame(const std::shared_ptr<Conn>& conn,
     conn->outbuf.erase(0, conn->out_offset);
     conn->out_offset = 0;
   }
-  frames_out_.fetch_add(1, std::memory_order_relaxed);
-  if (frames_out_counter_) frames_out_counter_->Increment();
+  frames_out_counter_->Increment();
   conn->enqueued_total += frame.size();
   conn->outbuf += frame;
   FlushOut(conn);
@@ -574,11 +552,7 @@ bool WireServer::FlushOut(const std::shared_ptr<Conn>& conn) {
     if (n > 0) {
       conn->out_offset += static_cast<size_t>(n);
       conn->sent_total += static_cast<uint64_t>(n);
-      bytes_out_.fetch_add(static_cast<uint64_t>(n),
-                           std::memory_order_relaxed);
-      if (bytes_out_counter_) {
-        bytes_out_counter_->Increment(static_cast<uint64_t>(n));
-      }
+      bytes_out_counter_->Increment(static_cast<uint64_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -649,8 +623,7 @@ void WireServer::ProtocolError(const std::shared_ptr<Conn>& conn,
         EncodeError(request_id, status, 0, 0, conn->version);
     conn->enqueued_total += frame.size();
     conn->outbuf += frame;
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
-    if (frames_out_counter_) frames_out_counter_->Increment();
+    frames_out_counter_->Increment();
     FlushOut(conn);
   }
   if (!conn->dead.load(std::memory_order_relaxed)) {
@@ -658,33 +631,32 @@ void WireServer::ProtocolError(const std::shared_ptr<Conn>& conn,
   }
 }
 
-void WireServer::CloseConn(const std::shared_ptr<Conn>& conn,
+void WireServer::CloseConn(const std::shared_ptr<Conn>& conn_ref,
                            CloseReason reason) {
+  // `conn_ref` may alias the conns_ entry erased below: hold our own
+  // reference for the rest of the teardown.
+  std::shared_ptr<Conn> conn = conn_ref;
   if (conn->dead.exchange(true, std::memory_order_acq_rel)) return;
   // Account before close(): once the fd closes a test's client sees EOF
   // and may read stats() immediately.
-  active_.fetch_sub(1, std::memory_order_relaxed);
   switch (reason) {
     case CloseReason::kClient:
-      closed_by_client_.fetch_add(1, std::memory_order_relaxed);
-      if (closed_client_counter_) closed_client_counter_->Increment();
+      closed_client_counter_->Increment();
       break;
     case CloseReason::kIdle:
-      closed_by_idle_.fetch_add(1, std::memory_order_relaxed);
-      if (closed_idle_counter_) closed_idle_counter_->Increment();
+      closed_idle_counter_->Increment();
       break;
     case CloseReason::kError:
-      closed_by_error_.fetch_add(1, std::memory_order_relaxed);
-      if (closed_error_counter_) closed_error_counter_->Increment();
+      closed_error_counter_->Increment();
       break;
     case CloseReason::kShutdown:
       // Server-initiated drain; not a client or error close.
       break;
   }
+  conns_.erase(conn->fd);
+  active_gauge_->Set(static_cast<double>(conns_.size()));
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
-  conns_.erase(conn->fd);
-  if (active_gauge_) active_gauge_->Set(static_cast<double>(conns_.size()));
   // Responses that never fully flushed still carry a finished pipeline:
   // publish their timelines ending now rather than dropping them.
   while (!conn->pending_traces.empty()) {
@@ -773,10 +745,8 @@ void WireServer::GracefulDrain() {
     if (!conn->dead.load(std::memory_order_relaxed)) {
       std::string bye = EncodeGoodbye(0, conn->version);
       net::SendAll(conn->fd, bye.data(), bye.size());
-      frames_out_.fetch_add(1, std::memory_order_relaxed);
-      if (frames_out_counter_) frames_out_counter_->Increment();
-      bytes_out_.fetch_add(bye.size(), std::memory_order_relaxed);
-      if (bytes_out_counter_) bytes_out_counter_->Increment(bye.size());
+      frames_out_counter_->Increment();
+      bytes_out_counter_->Increment(bye.size());
     }
     CloseConn(conn, CloseReason::kShutdown);
   }
@@ -787,24 +757,24 @@ void WireServer::GracefulDrain() {
 
 WireServer::Stats WireServer::stats() const {
   Stats out;
-  out.accepted = accepted_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.closed_by_client = closed_by_client_.load(std::memory_order_relaxed);
-  out.closed_by_idle = closed_by_idle_.load(std::memory_order_relaxed);
-  out.closed_by_error = closed_by_error_.load(std::memory_order_relaxed);
-  out.active = active_.load(std::memory_order_relaxed);
-  out.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  out.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  out.frames_in = frames_in_.load(std::memory_order_relaxed);
-  out.frames_out = frames_out_.load(std::memory_order_relaxed);
-  out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  out.requests = requests_.load(std::memory_order_relaxed);
-  out.overload_rejects = overload_rejects_.load(std::memory_order_relaxed);
-  if (latency_hist_ != nullptr) {
-    obs::HistogramSnapshot hist = latency_hist_->Snapshot();
-    out.p50_latency_us = hist.Percentile(0.5);
-    out.p99_latency_us = hist.Percentile(0.99);
-  }
+  out.active = static_cast<uint64_t>(active_gauge_->value());
+  out.accepted = accepted_counter_->value();
+  out.rejected = rejected_counter_->value();
+  out.closed_by_client = closed_client_counter_->value();
+  out.closed_by_idle = closed_idle_counter_->value();
+  out.closed_by_error = closed_error_counter_->value();
+  out.bytes_in = bytes_in_counter_->value();
+  out.bytes_out = bytes_out_counter_->value();
+  out.frames_in = frames_in_counter_->value();
+  out.frames_out = frames_out_counter_->value();
+  out.protocol_errors = protocol_errors_counter_->value();
+  out.overload_rejects =
+      server_->overload_sheds(obs::kOverloadShedPipeline) +
+      server_->overload_sheds(obs::kOverloadShedAdmission);
+  obs::HistogramSnapshot hist = latency_hist_->Snapshot();
+  out.requests = hist.count;
+  out.p50_latency_us = hist.Percentile(0.5);
+  out.p99_latency_us = hist.Percentile(0.99);
   return out;
 }
 

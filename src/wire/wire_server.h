@@ -79,7 +79,9 @@ class WireServer {
   /// Actual bound port (useful with port 0); 0 when not running.
   int port() const { return port_; }
 
-  /// Point-in-time connection/traffic aggregates (the /wire endpoint).
+  /// Point-in-time connection/traffic aggregates (the /wire endpoint),
+  /// read from the registry instruments below: cumulative per registry,
+  /// like every node counter (one registry serves one live node).
   struct Stats {
     uint64_t active = 0;
     uint64_t accepted = 0;
@@ -92,7 +94,7 @@ class WireServer {
     uint64_t frames_in = 0;
     uint64_t frames_out = 0;
     uint64_t protocol_errors = 0;
-    uint64_t requests = 0;           // queries answered
+    uint64_t requests = 0;           // queries answered (latency samples)
     uint64_t overload_rejects = 0;   // Querys refused by the brownout ladder
     double p50_latency_us = 0;       // wire request latency
     double p99_latency_us = 0;
@@ -208,23 +210,9 @@ class WireServer {
   /// number the OS may have reused.
   bool completions_open_ = false;
 
-  // Aggregates. Written by the IO thread (and workers for latency/request
-  // counts); all relaxed atomics, read by stats().
-  std::atomic<uint64_t> active_{0};
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> closed_by_client_{0};
-  std::atomic<uint64_t> closed_by_idle_{0};
-  std::atomic<uint64_t> closed_by_error_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> frames_in_{0};
-  std::atomic<uint64_t> frames_out_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> overload_rejects_{0};
-
-  // Registry instruments (owned by the server's registry).
+  // Registry instruments (owned by the server's registry): the only
+  // count of each wire outcome, read back by stats(). The IO thread
+  // writes them; workers record request latency.
   obs::Gauge* active_gauge_ = nullptr;
   obs::Counter* accepted_counter_ = nullptr;
   obs::Counter* rejected_counter_ = nullptr;

@@ -335,41 +335,5 @@ TEST_F(MiddlewareTest, HitLatencyAvoidsWan) {
   EXPECT_LT(end - start, latency_.wan_rtt / 2);
 }
 
-// The sim middleware exports the same metric shapes as the wall-clock
-// server (DESIGN.md §9): counters mirror MiddlewareMetrics through
-// pull-mode callbacks, and destruction unregisters them so a later
-// snapshot never dereferences the dead middleware.
-TEST_F(MiddlewareTest, RegisterMetricsMirrorsCountersIntoRegistry) {
-  obs::MetricsRegistry registry;
-  {
-    auto mw = MakeMiddleware(SystemMode::kLru);
-    mw->RegisterMetrics(&registry);
-    (void)Query(mw.get(), 0,
-                "SELECT s_num_out FROM security WHERE s_symb = 'S0_0'");
-    (void)Query(mw.get(), 0,
-                "SELECT s_num_out FROM security WHERE s_symb = 'S0_0'");
-
-    obs::RegistrySnapshot snap = registry.Snapshot();
-    const obs::MetricSnapshot* reads =
-        snap.Find("chrono_requests_total", {{"op", "read"}});
-    ASSERT_NE(reads, nullptr);
-    EXPECT_DOUBLE_EQ(reads->value, static_cast<double>(mw->metrics().reads));
-    EXPECT_DOUBLE_EQ(reads->value, 2.0);
-    const obs::MetricSnapshot* hits =
-        snap.Find("chrono_cache_hits_total", {{"cache", "result"}});
-    ASSERT_NE(hits, nullptr);
-    EXPECT_GE(hits->value, 1.0);  // the repeat query was an edge hit
-    ASSERT_NE(snap.Find("chrono_cache_entries", {{"cache", "template"}}),
-              nullptr);
-    ASSERT_NE(snap.Find("chrono_result_cache_bytes"), nullptr);
-  }
-  // Middleware destroyed: callbacks must be unregistered, not dangling.
-  obs::RegistrySnapshot after = registry.Snapshot();
-  const obs::MetricSnapshot* reads =
-      after.Find("chrono_requests_total", {{"op", "read"}});
-  ASSERT_NE(reads, nullptr);
-  EXPECT_DOUBLE_EQ(reads->value, 0.0);
-}
-
 }  // namespace
 }  // namespace chrono::core

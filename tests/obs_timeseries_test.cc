@@ -1,9 +1,11 @@
 // Tests for the time-series telemetry ring (DESIGN.md §15): cumulative
 // histogram merge/delta arithmetic, interval-sample derivation from a
-// metrics registry, ring wraparound, and the /timeseries JSON shape.
+// metrics registry, ring wraparound, the /timeseries JSON shape, and the
+// hit rate a live ChronoServer reports through it.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -11,8 +13,10 @@
 #include <vector>
 
 #include "common/json.h"
+#include "db/database.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "runtime/server.h"
 
 namespace chrono::obs {
 namespace {
@@ -69,10 +73,7 @@ class TimeSeriesTest : public ::testing::Test {
   TimeSeriesTest() {
     requests_ = registry_.GetCounter("chrono_requests_total", "Requests",
                                      {{"op", "read"}});
-    hits_ = registry_.GetCounter("chrono_cache_hits_total", "Hits",
-                                 {{"cache", "result"}});
-    misses_ = registry_.GetCounter("chrono_cache_misses_total", "Misses",
-                                   {{"cache", "result"}});
+    hits_ = registry_.GetCounter("chrono_read_hits_total", "Served hits");
     latency_ = registry_.GetHistogram("chrono_request_latency_ns", "Latency",
                                       {{"op", "read"}});
   }
@@ -81,15 +82,15 @@ class TimeSeriesTest : public ::testing::Test {
     TimeSeriesRing::Options opts;
     opts.capacity = capacity;
     opts.interval_ms = 1000;
-    return TimeSeriesRing(&registry_, opts, [this] { return now_us_; });
+    return TimeSeriesRing(&registry_, opts, [this] { return now_us_.load(); });
   }
 
   MetricsRegistry registry_;
   Counter* requests_ = nullptr;
   Counter* hits_ = nullptr;
-  Counter* misses_ = nullptr;
   Histogram* latency_ = nullptr;
-  uint64_t now_us_ = 0;
+  // Atomic: the sampler thread reads the clock while the test advances it.
+  std::atomic<uint64_t> now_us_{0};
 };
 
 TEST_F(TimeSeriesTest, SamplesDeriveRatesFromCounterDeltas) {
@@ -99,8 +100,7 @@ TEST_F(TimeSeriesTest, SamplesDeriveRatesFromCounterDeltas) {
   EXPECT_TRUE(ring.Snapshot().empty());
 
   requests_->Increment(200);
-  hits_->Increment(30);
-  misses_->Increment(10);
+  hits_->Increment(150);
   for (int i = 0; i < 8; ++i) latency_->Record(1'000'000);  // 1 ms
   now_us_ = 3'000'000;  // 2 s later
   ring.SampleNow();
@@ -109,7 +109,7 @@ TEST_F(TimeSeriesTest, SamplesDeriveRatesFromCounterDeltas) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].t_us, 3'000'000u);
   EXPECT_DOUBLE_EQ(got[0].qps, 100);          // 200 requests / 2 s
-  EXPECT_DOUBLE_EQ(got[0].hit_rate, 0.75);    // 30 / (30 + 10)
+  EXPECT_DOUBLE_EQ(got[0].hit_rate, 0.75);    // 150 hits / 200 reads
   EXPECT_EQ(got[0].requests_total, 200u);
   EXPECT_GT(got[0].p99_us, 0);
 
@@ -160,7 +160,7 @@ TEST_F(TimeSeriesTest, SamplerThreadStartStopIsIdempotent) {
   TimeSeriesRing::Options opts;
   opts.capacity = 4;
   opts.interval_ms = 5;  // fast enough to take real samples in the test
-  TimeSeriesRing ring(&registry_, opts, [this] { return now_us_; });
+  TimeSeriesRing ring(&registry_, opts, [this] { return now_us_.load(); });
   ring.Start();
   ring.Start();  // second Start is a no-op
   // The sampler thread only records when the clock advances.
@@ -172,6 +172,52 @@ TEST_F(TimeSeriesTest, SamplerThreadStartStopIsIdempotent) {
   ring.Stop();
   ring.Stop();  // idempotent
   EXPECT_GT(ring.samples_taken(), 0u);
+}
+
+// /timeseries hit_rate is served hits over reads — the ratio
+// ServerMetrics::CacheHitRate() reports — not the shard-level lookup
+// ratio, which counts a security-rejected entry as a hit and an inline
+// prediction read as a miss plus a hit.
+TEST(TimeSeriesServer, HitRateIsServedHitsOverReads) {
+  db::Database db;
+  ASSERT_TRUE(db.ExecuteText("CREATE TABLE t (id INT, v TEXT)").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.ExecuteText("INSERT INTO t (id, v) VALUES (" +
+                               std::to_string(i) + ", 'v" +
+                               std::to_string(i) + "')")
+                    .ok());
+  }
+  runtime::ServerConfig config;
+  config.workers = 2;
+  config.extract_every = 2;
+  config.timeseries_interval_ms = 3'600'000;  // samples only on SampleNow
+  runtime::ChronoServer server(&db, config);
+  ASSERT_NE(server.timeseries(), nullptr);
+
+  // Train "SELECT id" -> dependent "SELECT v"; a fresh id then misses on
+  // the root and is answered by the covering combined query inline.
+  auto read = [&](runtime::ClientId client, const std::string& sql,
+                  int group) {
+    ASSERT_TRUE(server.Submit(client, sql, group).get().ok()) << sql;
+  };
+  for (int round = 0; round < 12; ++round) {
+    int id = round % 4;
+    read(1, "SELECT id FROM t WHERE id = " + std::to_string(id), 0);
+    read(1, "SELECT v FROM t WHERE id = " + std::to_string(id), 0);
+  }
+  read(1, "SELECT id FROM t WHERE id = 20", 0);
+  // Another security group finds the group-0 entry and must reject it.
+  read(2, "SELECT v FROM t WHERE id = 0", 1);
+
+  runtime::ServerMetrics m = server.metrics();
+  ASSERT_GE(m.prediction_hits, 1u) << "no inline prediction hit";
+  ASSERT_GE(m.cache_rejects, 1u) << "no rejected entry";
+  server.timeseries()->SampleNow();
+  std::vector<TimeSeriesRing::Sample> samples =
+      server.timeseries()->Snapshot();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_DOUBLE_EQ(samples[0].hit_rate, m.CacheHitRate());
+  server.Shutdown();
 }
 
 }  // namespace

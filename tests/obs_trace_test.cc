@@ -322,6 +322,10 @@ TEST_F(ServerTraceTest, PrefetchedHitsCarryAttribution) {
   }
   EXPECT_TRUE(traced_attribution);
 
+  // The per-edge family is folded from the journal: drain it first.
+  server.Shutdown();
+  server.journal()->Stop();
+  EXPECT_EQ(server.journal()->events_dropped(), 0u);
   RegistrySnapshot snap = server.registry()->Snapshot();
   double attributed = 0;
   for (const MetricSnapshot& ms : snap.metrics) {

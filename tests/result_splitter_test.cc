@@ -175,5 +175,31 @@ TEST_F(SplitterTest, RootKeyUsesBoundParams) {
   }
 }
 
+// Hit attribution is decided here, once: a child slot's entries carry
+// the template of its first parent slot (the graph edge that prefetched
+// them), a root slot's entries carry 0.
+TEST_F(SplitterTest, EntriesCarryTheirPrefetchingEdgeSource) {
+  auto split = SplitResult(
+      MakePlan(),
+      Combined({{Value::String("AAA"), Value::Int(1), Value::Int(100),
+                 Value::Int(11)},
+                {Value::String("BBB"), Value::Int(2), Value::Int(200),
+                 Value::Int(12)}}),
+      registry_);
+  ASSERT_TRUE(split.ok());
+  int roots = 0, children = 0;
+  for (const auto& e : *split) {
+    if (e.tmpl == q1_) {
+      EXPECT_EQ(e.src, 0u);
+      ++roots;
+    } else if (e.tmpl == q2_) {
+      EXPECT_EQ(e.src, q1_);
+      ++children;
+    }
+  }
+  EXPECT_EQ(roots, 1);
+  EXPECT_EQ(children, 2);
+}
+
 }  // namespace
 }  // namespace chrono::core

@@ -17,6 +17,7 @@
 #include "db/database.h"
 #include "net/circuit_breaker.h"
 #include "obs/audit.h"
+#include "obs/export.h"
 #include "obs/journal.h"
 #include "runtime/server.h"
 #include "sql/result_set.h"
@@ -41,6 +42,14 @@ class CollectSink : public obs::JournalSink {
   std::mutex mutex_;
   std::vector<obs::JournalEvent> events_;
 };
+
+/// The value of one sample line in Prometheus exposition text, or -1
+/// when the scrape does not carry it.
+double Scraped(const std::string& text, const std::string& sample) {
+  size_t pos = text.find("\n" + sample + " ");
+  if (pos == std::string::npos) return -1;
+  return std::stod(text.substr(pos + sample.size() + 2));
+}
 
 class ChaosTest : public ::testing::Test {
  protected:
@@ -163,6 +172,62 @@ TEST_F(ChaosTest, BlackoutTripsBreakerAndStaleServesWarmKeys) {
   EXPECT_EQ(m.backend_timeouts, timeouts_before);
   EXPECT_GE(m.breaker_rejects, 2u);
   EXPECT_EQ(m.stale_serves, 2u);
+}
+
+// The outcome counters do not depend on the journal: with it off, a
+// faulted run still exports every availability family, each equal to the
+// ServerMetrics field read from the same counter.
+TEST_F(ChaosTest, JournalOffStillExportsAvailabilityCounters) {
+  ServerConfig config = ChaosConfig();
+  config.enable_journal = false;
+  config.enable_learning = true;
+  config.enable_combining = true;
+  config.extract_every = 2;
+  config.fault.blackout_start_us = 400'000;
+  config.fault.blackout_us = 600'000'000;  // outage outlasts the test
+  config.breaker.failure_threshold = 2;
+  config.breaker.open_cooldown_us = 600'000'000;
+  config.stale_serve_us = 10'000'000;
+  ChronoServer server(&db_, config);
+  ASSERT_EQ(server.journal(), nullptr);
+
+  // Healthy phase: learn "SELECT id" -> "SELECT v", then write so the
+  // writer's next lookup of a warm key version-rejects it.
+  for (int round = 0; round < 12; ++round) {
+    std::string id = std::to_string(round % 4);
+    ASSERT_TRUE(server.Submit(1, "SELECT id FROM t WHERE id = " + id)
+                    .get()
+                    .ok());
+    ASSERT_TRUE(
+        server.Submit(1, "SELECT v FROM t WHERE id = " + id).get().ok());
+  }
+  ASSERT_TRUE(
+      server.Submit(1, "UPDATE t SET v = 'fresh' WHERE id = 3").get().ok());
+
+  // Outage: the demand fetch retries, fails (first breaker strike) and
+  // falls back to the stale entry; a fresh key's covering combined query
+  // fails (second strike, breaker opens); the next one's plan is shed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(450));
+  EXPECT_TRUE(server.Submit(1, "SELECT v FROM t WHERE id = 3").get().ok());
+  EXPECT_FALSE(
+      server.Submit(1, "SELECT id FROM t WHERE id = 30").get().ok());
+  EXPECT_FALSE(
+      server.Submit(1, "SELECT id FROM t WHERE id = 31").get().ok());
+
+  ServerMetrics m = server.metrics();
+  EXPECT_GT(m.backend_retries, 0u);
+  EXPECT_EQ(m.stale_serves, 1u);
+  EXPECT_GT(m.prefetches_shed_breaker, 0u);
+  std::string text =
+      obs::ToPrometheusText(server.registry()->Snapshot());
+  EXPECT_EQ(Scraped(text, "chrono_backend_retries_total"),
+            static_cast<double>(m.backend_retries));
+  EXPECT_EQ(Scraped(text, "chrono_stale_serves_total"),
+            static_cast<double>(m.stale_serves));
+  EXPECT_EQ(Scraped(text, "chrono_shed_total{kind=\"prefetch_queue\"}"),
+            static_cast<double>(m.prefetches_dropped));
+  EXPECT_EQ(Scraped(text, "chrono_shed_total{kind=\"prefetch_breaker\"}"),
+            static_cast<double>(m.prefetches_shed_breaker));
 }
 
 TEST_F(ChaosTest, ChaosRunCompletesAndJournalReconciles) {

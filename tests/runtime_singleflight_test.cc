@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "db/database.h"
+#include "obs/audit.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 #include "runtime/server.h"
 #include "sql/result_set.h"
 
@@ -259,6 +261,19 @@ TEST_F(SingleFlightTest, FollowerWithNewerSessionRefetchesInsteadOfInheriting) {
     ++rejected_parks;
   }
   EXPECT_EQ(rejected_parks, 1);
+
+  // The audit and /metrics agree with ServerMetrics: a rejected park is
+  // not a coalesced fetch; the audit counts it on its own line.
+  ASSERT_NE(server.audit(), nullptr);
+  obs::PrefetchAudit::Availability av =
+      server.audit()->snapshot().availability;
+  EXPECT_EQ(av.backend_coalesced, 0u);
+  EXPECT_EQ(av.coalesced_rejected, 1u);
+  obs::RegistrySnapshot snap = server.registry()->Snapshot();
+  const obs::MetricSnapshot* coalesced =
+      snap.Find("chrono_backend_coalesced_total");
+  ASSERT_NE(coalesced, nullptr);
+  EXPECT_EQ(coalesced->value, 0.0);
 }
 
 TEST_F(SingleFlightTest, LateArrivalAfterCompletionHitsTheCache) {

@@ -183,6 +183,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(av.shed_breaker));
     std::printf("  coalesced fetches: %llu joined an in-flight demand call\n",
                 static_cast<unsigned long long>(av.backend_coalesced));
+    std::printf("  rejected parks   : %llu refetched (session moved past the "
+                "flight)\n",
+                static_cast<unsigned long long>(av.coalesced_rejected));
   }
 
   // Overload control (§17): what the brownout ladder refused, deadlines
