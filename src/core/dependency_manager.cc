@@ -103,12 +103,4 @@ size_t DependencyManager::graph_count() const {
   return n;
 }
 
-std::vector<const DependencyGraph*> DependencyManager::Graphs() const {
-  std::vector<const DependencyGraph*> out;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (active_[i]) out.push_back(&entries_[i].graph);
-  }
-  return out;
-}
-
 }  // namespace chrono::core

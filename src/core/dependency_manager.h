@@ -46,9 +46,6 @@ class DependencyManager {
   uint64_t graphs_discarded_duplicate() const { return dup_discards_; }
   uint64_t graphs_discarded_subsumed() const { return subsume_discards_; }
 
-  /// All active graphs (tests/introspection).
-  std::vector<const DependencyGraph*> Graphs() const;
-
  private:
   struct Entry {
     DependencyGraph graph;

@@ -1,9 +1,5 @@
 #include "core/middleware.h"
 
-#include <algorithm>
-#include <cassert>
-#include <map>
-
 #include "common/rng.h"
 
 namespace chrono::core {
@@ -20,43 +16,15 @@ const char* SystemModeName(SystemMode mode) {
 }
 
 void MiddlewareConfig::Finalize() {
-  switch (mode) {
-    case SystemMode::kLru:
-      enable_learning = false;
-      enable_loops = false;
-      enable_loop_constants = false;
-      enable_combining = false;
-      share_across_clients = true;
-      break;
-    case SystemMode::kApollo:
-      enable_learning = true;
-      enable_loops = false;
-      enable_loop_constants = false;
-      enable_combining = false;
-      share_across_clients = true;
-      break;
-    case SystemMode::kScalpelE:
-      enable_learning = true;
-      enable_loops = true;
-      enable_loop_constants = false;
-      enable_combining = true;
-      share_across_clients = false;
-      break;
-    case SystemMode::kScalpelCC:
-      enable_learning = true;
-      enable_loops = true;
-      enable_loop_constants = false;
-      enable_combining = true;
-      share_across_clients = true;
-      break;
-    case SystemMode::kChrono:
-      enable_learning = true;
-      enable_loops = true;
-      enable_loop_constants = true;
-      enable_combining = true;
-      share_across_clients = true;
-      break;
-  }
+  // LRU learns nothing; Apollo learns but fires uncombined, loop-free
+  // predictions; the Scalpel variants combine loops without per-loop
+  // constants, and Scalpel-E keeps a per-client cache.
+  enable_learning = mode != SystemMode::kLru;
+  enable_loops = mode == SystemMode::kScalpelE ||
+                 mode == SystemMode::kScalpelCC || mode == SystemMode::kChrono;
+  enable_loop_constants = mode == SystemMode::kChrono;
+  enable_combining = enable_loops;
+  share_across_clients = mode != SystemMode::kScalpelE;
 }
 
 // ---- RemoteDbServer ----------------------------------------------------
@@ -138,10 +106,28 @@ void RemoteDbServer::TryDispatch() {
 
 // ---- Middleware ----------------------------------------------------------
 
-Middleware::ClientState::ClientState(const MiddlewareConfig& config)
-    : transitions(std::make_unique<TransitionGraph>(config.delta_t)),
-      mapper(config.min_validations),
-      manager(DependencyManager::Options{config.enable_subsumption}) {}
+namespace {
+
+NodeCore::Options CoreOptions(const MiddlewareConfig& config,
+                              EventQueue* events) {
+  return {.template_cache_entries = config.template_cache_entries,
+          .delta_t = config.delta_t,
+          .extractor = {config.tau, config.min_occurrences,
+                        config.enable_loops, config.enable_loop_constants,
+                        /*max_nodes=*/8},
+          .min_validations = config.min_validations,
+          .extract_every = config.extract_every,
+          .enable_subsumption = config.enable_subsumption,
+          .cache_bytes = config.cache_bytes,
+          .cache_shards = 1,  // one exact LRU over the whole budget
+          .share_across_clients = config.share_across_clients,
+          .multi_node = config.multi_node,
+          .node_id = config.node_id,
+          .journal_virtual_time = true,
+          .clock = [events] { return static_cast<uint64_t>(events->now()); }};
+}
+
+}  // namespace
 
 Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
                        const net::LatencyModel& latency,
@@ -150,64 +136,14 @@ Middleware::Middleware(EventQueue* events, RemoteDbServer* remote,
       remote_(remote),
       latency_(latency),
       config_(config),
-      template_cache_(config.template_cache_entries),
-      cache_(std::make_unique<cache::LruCache>(config.cache_bytes)),
+      core_(CoreOptions(config, events)),
       mw_pool_(events, config.workers),
-      sessions_(config.multi_node),
-      extractor_(GraphExtractor::Options{
-          config.tau, config.min_occurrences, config.enable_loops,
-          config.enable_loop_constants, /*max_nodes=*/8}),
       retry_(config.retry) {}
-
-void Middleware::AttachJournal(obs::EventJournal* journal) {
-  journal_ = journal;
-  // Mirror the runtime server's eviction journaling: only
-  // prefetch-attributed entries, kErased = staleness invalidation (which
-  // always follows a Get that bumped use_count, hence use_count > 1).
-  cache_->SetEvictionCallback([this](const std::string& key,
-                                     const cache::CachedResult& value,
-                                     size_t bytes,
-                                     cache::EvictReason reason) {
-    (void)key;
-    if (journal_ == nullptr || value.prefetch_plan == 0 ||
-        reason == cache::EvictReason::kCleared) {
-      return;
-    }
-    obs::JournalEvent event;
-    event.plan = value.prefetch_plan;
-    event.src = value.prefetch_src;
-    event.tmpl = value.tmpl;
-    event.a = bytes;
-    uint64_t now = static_cast<uint64_t>(events_->now());
-    event.b = now > value.install_us ? now - value.install_us : 0;
-    if (reason == cache::EvictReason::kErased) {
-      event.type = obs::JournalEventType::kEntryInvalidated;
-      event.flags = value.use_count > 1 ? obs::kJournalFlagUsed : 0;
-    } else {
-      event.type = obs::JournalEventType::kEntryEvicted;
-      event.flags = (value.use_count > 0 ? obs::kJournalFlagUsed : 0) |
-                    (reason == cache::EvictReason::kReplaced
-                         ? obs::kJournalEvictReplaced
-                         : obs::kJournalEvictCapacity);
-    }
-    Journal(event);
-  });
-}
-
-void Middleware::Journal(obs::JournalEvent event) {
-  if (journal_ == nullptr) return;
-  if (event.ts_us == 0) {
-    SimTime now = events_->now();
-    event.ts_us = now == 0 ? 1 : static_cast<uint64_t>(now);
-  }
-  journal_->Record(event);
-}
 
 void Middleware::JournalRequest(ClientId client, TemplateId tmpl,
                                 obs::TraceOutcome outcome,
                                 uint64_t prefetch_plan,
                                 uint64_t prefetch_src) {
-  if (journal_ == nullptr) return;
   obs::JournalEvent event;
   event.type = obs::JournalEventType::kRequest;
   event.client = static_cast<uint32_t>(client);
@@ -219,58 +155,13 @@ void Middleware::JournalRequest(ClientId client, TemplateId tmpl,
   Journal(event);
 }
 
-Middleware::ClientState* Middleware::StateFor(ClientId client) {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) {
-    it = clients_.emplace(client, std::make_unique<ClientState>(config_)).first;
-  }
-  return it->second.get();
-}
-
-std::string Middleware::CacheKey(ClientId client,
-                                 const std::string& bound_text) const {
-  std::string key;
-  if (!config_.share_across_clients) {
-    key += "c" + std::to_string(client) + "#";
-  }
-  if (config_.multi_node) {
-    key += "n" + std::to_string(config_.node_id) + "#";
-  }
-  key += bound_text;
-  return key;
-}
-
-size_t Middleware::TotalGraphs() const {
-  size_t n = 0;
-  for (const auto& [id, state] : clients_) {
-    (void)id;
-    n += state->manager.graph_count();
-  }
-  return n;
-}
-
-std::vector<std::string> Middleware::DumpDependencyGraphs(
-    ClientId client) const {
-  std::vector<std::string> out;
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return out;
-  for (const DependencyGraph* graph : it->second->manager.Graphs()) {
-    std::map<TemplateId, std::string> labels;
-    for (TemplateId node : graph->nodes) {
-      const sql::QueryTemplate* tmpl = registry_.Find(node);
-      if (tmpl == nullptr) continue;
-      std::string text = tmpl->canonical_text.substr(0, 48);
-      // Escape for DOT string literals.
-      std::string escaped;
-      for (char c : text) {
-        if (c == '"' || c == '\\') escaped += '\\';
-        escaped += c;
-      }
-      labels[node] = escaped;
-    }
-    out.push_back(graph->ToDot(labels));
-  }
-  return out;
+std::optional<cache::CachedResult> Middleware::LookupCounted(
+    ClientId client, int security_group, const std::string& bound_text) {
+  NodeCore::LookupResult lookup =
+      core_.Lookup(client, security_group, bound_text, Now());
+  if (lookup.rejected()) ++metrics_.cache_rejects;
+  if (!lookup.hit()) return std::nullopt;
+  return std::move(lookup.entry);
 }
 
 void Middleware::SubmitQuery(ClientId client, int security_group,
@@ -291,34 +182,22 @@ void Middleware::SubmitQuery(ClientId client, int security_group,
 
 void Middleware::Process(SimTime now, ClientId client, int security_group,
                          std::string sql_text, ResponseCallback done) {
-  // Memoized AnalyzeQuery: clients resubmit the same texts constantly
-  // (point lookups in loops, pattern repetitions), so the analysis —
-  // lex + parse + literal extraction + canonical render — is cached
-  // keyed on the raw text. Entries are immutable (template + params are
-  // derived from the text alone), so no invalidation is ever needed.
-  sql::ParsedQuery parsed;
-  if (const sql::ParsedQuery* hit = template_cache_.Get(sql_text)) {
-    parsed = *hit;
-  } else {
-    auto analyzed = sql::AnalyzeQuery(sql_text);
-    if (!analyzed.ok()) {
-      JournalRequest(client, /*tmpl=*/0, obs::TraceOutcome::kError);
-      events_->ScheduleAfter(latency_.edge_rtt / 2,
-                             [done, st = analyzed.status()](SimTime now2) {
-                               done(now2, st);
-                             });
-      return;
-    }
-    parsed = *template_cache_.Put(std::move(sql_text), std::move(*analyzed));
+  auto parsed = core_.Analyze(sql_text);
+  if (!parsed.ok()) {
+    JournalRequest(client, /*tmpl=*/0, obs::TraceOutcome::kError);
+    events_->ScheduleAfter(latency_.edge_rtt / 2,
+                           [done, st = parsed.status()](SimTime now2) {
+                             done(now2, st);
+                           });
+    return;
   }
-  registry_.Register(parsed.tmpl);
-  if (!parsed.tmpl->read_only) {
+  if (!parsed->tmpl->read_only) {
     ++metrics_.writes;
-    HandleWrite(client, std::move(parsed), std::move(done));
+    HandleWrite(client, std::move(*parsed), std::move(done));
     return;
   }
   ++metrics_.reads;
-  HandleRead(now, client, security_group, std::move(parsed), std::move(done));
+  HandleRead(now, client, security_group, std::move(*parsed), std::move(done));
 }
 
 void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
@@ -330,8 +209,8 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
       parsed.bound_text,
       [this, client, tmpl = parsed.tmpl->id, writes = access.writes,
        done = std::move(done)](SimTime, Result<db::ExecOutcome> outcome) {
-        sessions_.OnRemoteAccess();
-        if (outcome.ok()) sessions_.OnClientWrite(client, writes);
+        core_.OnRemoteAccess();
+        if (outcome.ok()) core_.OnClientWrite(client, writes);
         JournalRequest(client, tmpl,
                        outcome.ok() ? obs::TraceOutcome::kWrite
                                     : obs::TraceOutcome::kError);
@@ -347,62 +226,45 @@ void Middleware::HandleWrite(ClientId client, sql::ParsedQuery parsed,
       });
 }
 
-void Middleware::Learn(SimTime now, ClientId client,
-                       const sql::ParsedQuery& parsed) {
-  ClientState* state = StateFor(client);
-  TemplateId tmpl = parsed.tmpl->id;
-  state->transitions->Observe(tmpl, now);
-  state->mapper.ObserveQuery(tmpl, parsed.params);
-  state->latest_params[tmpl] = parsed.params;
-  ++state->observations;
-  if (state->observations % config_.extract_every == 0) {
-    for (auto& graph :
-         extractor_.Extract(*state->transitions, state->mapper, registry_)) {
-      state->manager.AddGraph(std::move(graph));
+std::vector<DependencyGraph> Middleware::DropRedundant(
+    ClientId client, int security_group, std::vector<DependencyGraph> ready) {
+  if (!config_.enable_redundancy_check) return ready;
+  Session* session = core_.SessionFor(client);
+  std::vector<DependencyGraph> to_fire;
+  for (DependencyGraph& g : ready) {
+    if (core_.PredictionsCached(client, session, security_group, g)) {
+      ++metrics_.redundant_skips;
+      continue;
     }
+    to_fire.push_back(std::move(g));
   }
+  return to_fire;
 }
 
 void Middleware::HandleRead(SimTime now, ClientId client, int security_group,
                             sql::ParsedQuery parsed, ResponseCallback done) {
   TemplateId tmpl = parsed.tmpl->id;
-  ClientState* state = StateFor(client);
-
-  std::vector<const DependencyGraph*> ready;
-  if (config_.enable_learning) {
-    Learn(now, client, parsed);
-    ready = state->manager.MarkTextAvail(tmpl);
-  }
 
   // §5.1: suppress graphs whose predictions are already fully cached.
-  std::vector<const DependencyGraph*> to_fire;
-  for (const DependencyGraph* g : ready) {
-    if (config_.enable_redundancy_check &&
-        PredictionsCached(client, security_group, *g)) {
-      ++metrics_.redundant_skips;
-      continue;
-    }
-    to_fire.push_back(g);
+  std::vector<DependencyGraph> to_fire;
+  if (config_.enable_learning) {
+    to_fire = DropRedundant(
+        client, security_group,
+        core_.Learn(core_.SessionFor(client), parsed,
+                    static_cast<uint64_t>(now)));
   }
 
-  const std::string key = CacheKey(client, parsed.bound_text);
-  const cache::CachedResult* hit = CacheGet(client, security_group,
-                                            parsed.bound_text);
-  if (hit != nullptr) {
+  const std::string key = core_.CacheKey(client, parsed.bound_text);
+  std::optional<cache::CachedResult> hit =
+      LookupCounted(client, security_group, parsed.bound_text);
+  if (hit.has_value()) {
     ++metrics_.cache_hits;
     JournalRequest(client, tmpl, obs::TraceOutcome::kCacheHit,
                    hit->prefetch_plan, hit->prefetch_src);
-    // Share the immutable payload (safe across any later cache mutation).
     // Answer from the edge cache first (Respond records the fresh result
     // into the mapper), then fire background predictions off it.
     Respond(client, tmpl, hit->result, done);
-    for (const DependencyGraph* g : to_fire) {
-      if (config_.enable_combining) {
-        FireGraph(client, security_group, *g, /*wait_key=*/"");
-      } else {
-        FireSequential(client, security_group, *g);
-      }
-    }
+    FireBackground(client, security_group, std::move(to_fire), tmpl, "");
     return;
   }
 
@@ -411,57 +273,57 @@ void Middleware::HandleRead(SimTime now, ClientId client, int security_group,
   if (inflight_it != inflight_.end()) {
     ++metrics_.inflight_joins;
     inflight_it->second.push_back(PendingRequest{client, std::move(done)});
-    for (const DependencyGraph* g : to_fire) {
-      if (config_.enable_combining) {
-        FireGraph(client, security_group, *g, "");
-      } else {
-        // Predictions bind from this query's result: run them when it lands.
-        deferred_seq_[key].emplace_back(security_group, *g);
-      }
-    }
+    FireBackground(client, security_group, std::move(to_fire), tmpl, key);
     return;
   }
 
-  // Pick a primary graph whose combined query will produce our result.
-  const DependencyGraph* primary = nullptr;
-  if (config_.enable_combining) {
-    for (const DependencyGraph* g : to_fire) {
-      if (g->ContainsNode(tmpl)) {
-        primary = g;
-        break;
-      }
-    }
+  if (!config_.enable_combining) {
+    FireBackground(client, security_group, std::move(to_fire), tmpl, key);
+    RemotePlain(client, security_group, tmpl, parsed.bound_text,
+                std::move(done));
+    return;
   }
-
+  // The first graph containing our template is the primary: its combined
+  // query will produce our result, so we wait on it.
+  bool primary_seen = false;
   bool waiting = false;
-  for (const DependencyGraph* g : to_fire) {
-    if (config_.enable_combining) {
-      bool wait_here = (g == primary);
-      if (FireGraph(client, security_group, *g, wait_here ? key : "")) {
-        if (wait_here) {
-          inflight_[key].push_back(PendingRequest{client, done});
-          inflight_tmpl_[key] = {tmpl, parsed.bound_text, security_group};
-          waiting = true;
-        }
-      } else if (wait_here) {
-        primary = nullptr;  // combination failed; fall through to plain
-      }
-    } else {
-      // Apollo-style sequential prediction needs this query's fresh result
-      // for parameter bindings; defer it to the plain execution's landing.
-      deferred_seq_[key].emplace_back(security_group, *g);
+  for (const DependencyGraph& g : to_fire) {
+    const bool wait_here = !primary_seen && g.ContainsNode(tmpl);
+    primary_seen = primary_seen || wait_here;
+    if (FireGraph(client, security_group, g, tmpl, wait_here ? key : "") &&
+        wait_here) {
+      inflight_[key].push_back(PendingRequest{client, done});
+      inflight_tmpl_[key] = {tmpl, parsed.bound_text, security_group};
+      waiting = true;
     }
   }
   if (waiting) return;
-
+  // No covering plan (or it failed to combine): fall through to plain.
   RemotePlain(client, security_group, tmpl, parsed.bound_text,
               std::move(done));
+}
+
+void Middleware::FireBackground(ClientId client, int security_group,
+                                std::vector<DependencyGraph> graphs,
+                                TemplateId trigger,
+                                const std::string& defer_key) {
+  for (DependencyGraph& g : graphs) {
+    if (config_.enable_combining) {
+      FireGraph(client, security_group, g, trigger, /*wait_key=*/"");
+    } else if (defer_key.empty()) {
+      FireSequential(client, security_group, g);
+    } else {
+      // Apollo-style predictions bind from the deferring query's result:
+      // run them when it lands.
+      deferred_seq_[defer_key].emplace_back(security_group, std::move(g));
+    }
+  }
 }
 
 void Middleware::RemotePlain(ClientId client, int security_group,
                              TemplateId tmpl, std::string bound_text,
                              ResponseCallback done) {
-  const std::string key = CacheKey(client, bound_text);
+  const std::string key = core_.CacheKey(client, bound_text);
   auto it = inflight_.find(key);
   if (it != inflight_.end()) {
     ++metrics_.inflight_joins;
@@ -482,7 +344,7 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
       bound_text,
       [this, client, security_group, tmpl, key, bound_text, attempts](
           SimTime, Result<db::ExecOutcome> outcome) {
-        sessions_.OnRemoteAccess();
+        core_.OnRemoteAccess();
         if (!outcome.ok()) {
           // Idempotent demand read: reschedule after a full-jitter backoff
           // while the waiters (and any late joiners) stay parked under the
@@ -531,10 +393,11 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
         // share the same immutable payload.
         auto payload = std::make_shared<const sql::ResultSet>(
             std::move(outcome->result));
-        CachePut(client, security_group, tmpl, bound_text, payload);
+        core_.Install(client, security_group, tmpl, bound_text, payload,
+                      Now());
         for (auto& w : waiters) {
           // Fresh database read: Vc = Vd (§5.2).
-          sessions_.SyncClientToDb(w.client);
+          core_.SyncClientToDb(w.client);
           JournalRequest(w.client, tmpl, obs::TraceOutcome::kRemotePlain);
           Respond(w.client, tmpl, payload, w.done);
         }
@@ -552,69 +415,36 @@ void Middleware::IssuePlainFetch(ClientId client, int security_group,
 }
 
 bool Middleware::FireGraph(ClientId client, int security_group,
-                           const DependencyGraph& graph,
+                           const DependencyGraph& graph, TemplateId trigger,
                            const std::string& wait_key, int cascade_depth) {
-  ClientState* state = StateFor(client);
-  CombineInput input{&graph, &registry_, &state->latest_params};
-  auto combined = CombineGraph(input);
-  if (!combined.ok()) return false;
+  auto plan = core_.Combine(core_.SessionFor(client), graph, trigger, Now());
+  if (!plan.ok()) return false;
 
   ++metrics_.remote_combined;
   // Charge the combination + split work to this node's worker pool.
-  auto plan = std::make_shared<CombinedQuery>(std::move(*combined));
   mw_pool_.Submit(latency_.mw_combine_service, [](SimTime) {});
 
-  const uint64_t plan_id = next_plan_id_++;
   const SimTime issued_at = events_->now();
-  if (journal_ != nullptr) {
-    std::vector<TemplateId> roots = graph.DependencyQueries();
-    obs::JournalEvent mined;
-    mined.type = obs::JournalEventType::kPlanMined;
-    mined.plan = plan_id;
-    mined.tmpl =
-        roots.empty() ? 0 : static_cast<uint64_t>(roots.front());
-    mined.a = plan->slots.size();
-    Journal(mined);
-    obs::JournalEvent issued;
-    issued.type = obs::JournalEventType::kCombinedIssued;
-    issued.plan = plan_id;
-    issued.client = static_cast<uint32_t>(client);
-    Journal(issued);
-  }
+  obs::JournalEvent issued;
+  issued.type = obs::JournalEventType::kCombinedIssued;
+  issued.plan = plan->id;
+  issued.client = static_cast<uint32_t>(client);
+  Journal(issued);
 
   // Hand the combiner-built AST to the server alongside the text: the
   // combined query executes without ever being re-parsed.
   remote_->Submit(
-      RemoteDbServer::DbRequest{plan->sql, plan->ast},
-      [this, client, security_group, plan, plan_id, issued_at, wait_key,
+      RemoteDbServer::DbRequest{plan->query->sql, plan->query->ast},
+      [this, client, security_group, plan = *plan, issued_at, wait_key,
        cascade_depth](SimTime landed, Result<db::ExecOutcome> outcome) {
-        sessions_.OnRemoteAccess();
-        if (journal_ != nullptr) {
-          obs::JournalEvent fetched;
-          fetched.type = obs::JournalEventType::kCombinedFetched;
-          fetched.plan = plan_id;
-          fetched.client = static_cast<uint32_t>(client);
-          fetched.flags = outcome.ok() ? obs::kJournalFlagOk : 0;
-          if (outcome.ok()) {
-            fetched.a = outcome->result.row_count();
-            fetched.b = outcome->result.ByteSize();
-          }
-          fetched.c = landed > issued_at
-                          ? static_cast<uint64_t>(landed - issued_at)
-                          : 0;
-          Journal(fetched);
-        }
+        core_.OnRemoteAccess();
+        core_.JournalFetched(plan, client, outcome,
+                             static_cast<uint64_t>(landed - issued_at), Now());
         if (outcome.ok()) {
-          auto split = SplitResult(*plan, outcome->result, registry_);
+          auto split = core_.InstallSplit(client, security_group, plan,
+                                          outcome->result, Now());
           if (split.ok()) {
-            for (const auto& entry : *split) {
-              CachePut(client, security_group, entry.tmpl, entry.key,
-                       entry.result, plan_id,
-                       static_cast<uint64_t>(entry.src));
-              ++metrics_.predictions_cached;
-            }
-            // The triggering client observed fresh database state.
-            sessions_.SyncClientToDb(client);
+            metrics_.predictions_cached += split->size();
             // Algorithm 1 line 7: the prefetched texts may make further
             // dependency graphs ready; fire them in the background.
             for (const auto& entry : *split) {
@@ -637,16 +467,11 @@ void Middleware::SplitMarkTextAvail(ClientId client, int security_group,
   // disabled.
   constexpr int kMaxCascadeDepth = 3;
   if (cascade_depth > kMaxCascadeDepth) return;
-  ClientState* state = StateFor(client);
-  if (!state->manager.IsRelevant(tmpl)) return;
-  state->latest_params[tmpl] = params;
-  for (const DependencyGraph* graph : state->manager.MarkTextAvail(tmpl)) {
-    if (config_.enable_redundancy_check &&
-        PredictionsCached(client, security_group, *graph)) {
-      ++metrics_.redundant_skips;
-      continue;
-    }
-    if (FireGraph(client, security_group, *graph, "", cascade_depth)) {
+  std::vector<DependencyGraph> ready = DropRedundant(
+      client, security_group,
+      core_.MarkSplitAvail(core_.SessionFor(client), tmpl, params));
+  for (const DependencyGraph& graph : ready) {
+    if (FireGraph(client, security_group, graph, tmpl, "", cascade_depth)) {
       ++metrics_.cascaded_fires;
     }
   }
@@ -664,9 +489,9 @@ void Middleware::ResolveInflight(const std::string& key) {
 
   std::vector<PendingRequest> unresolved;
   for (auto& w : waiters) {
-    const cache::CachedResult* hit =
-        CacheGet(w.client, info.security_group, info.bound_text);
-    if (hit != nullptr) {
+    std::optional<cache::CachedResult> hit =
+        LookupCounted(w.client, info.security_group, info.bound_text);
+    if (hit.has_value()) {
       JournalRequest(w.client, info.tmpl, obs::TraceOutcome::kPredictionHit,
                      hit->prefetch_plan, hit->prefetch_src);
       Respond(w.client, info.tmpl, hit->result, w.done);
@@ -690,13 +515,15 @@ void Middleware::FireSequential(ClientId client, int security_group,
   // Apollo-style prediction (§6 "Systems"): predicted queries are issued
   // to the database sequentially and uncombined. Without loop support only
   // the first iteration's bindings (row 0 of the source result) are used.
-  ClientState* state = StateFor(client);
+  // The simulator is single-threaded, so the session's mapper is read
+  // without its lock.
+  const Session* session = core_.SessionFor(client);
   std::vector<TemplateId> topo = graph.TopologicalOrder();
   if (topo.empty()) return;
 
   for (TemplateId node : topo) {
     if (graph.RoleOf(node) != NodeRole::kPredicted) continue;
-    const sql::QueryTemplate* tmpl = registry_.Find(node);
+    const sql::QueryTemplate* tmpl = core_.FindTemplate(node);
     if (tmpl == nullptr) continue;
     // Bind parameters from the sources' last observed result sets.
     std::vector<sql::Value> params(static_cast<size_t>(tmpl->param_count),
@@ -704,7 +531,7 @@ void Middleware::FireSequential(ClientId client, int security_group,
     bool ok = true;
     for (const auto& e : graph.edges) {
       if (e.dst != node) continue;
-      const sql::ResultSet* src_rs = state->mapper.LastResult(e.src);
+      const sql::ResultSet* src_rs = session->mapper.LastResult(e.src);
       if (src_rs == nullptr || src_rs->empty()) {
         ok = false;
         break;
@@ -721,101 +548,27 @@ void Middleware::FireSequential(ClientId client, int security_group,
     }
     if (!ok) continue;
     std::string bound = sql::RenderBoundText(*tmpl, params);
-    const std::string key = CacheKey(client, bound);
-    if (cache_->Contains(key)) continue;
-    if (inflight_.count(key) > 0) continue;
+    if (core_.Contains(client, bound)) continue;
+    if (inflight_.count(core_.CacheKey(client, bound)) > 0) continue;
     ++metrics_.sequential_prefetches;
     remote_->Submit(bound, [this, client, security_group, node, bound](
                                SimTime, Result<db::ExecOutcome> outcome) {
-      sessions_.OnRemoteAccess();
+      core_.OnRemoteAccess();
       if (!outcome.ok()) return;
       auto payload = std::make_shared<const sql::ResultSet>(
           std::move(outcome->result));
-      CachePut(client, security_group, node, bound, payload);
+      core_.Install(client, security_group, node, bound, payload, Now());
       // Feed the model so deeper predictions can bind next time.
-      StateFor(client)->mapper.ObserveResult(node, *payload);
+      core_.ObserveResult(core_.SessionFor(client), node, *payload);
     });
   }
-}
-
-bool Middleware::PredictionsCached(ClientId client, int security_group,
-                                   const DependencyGraph& graph) {
-  ClientState* state = StateFor(client);
-  std::vector<TemplateId> roots = graph.DependencyQueries();
-  if (roots.size() != 1) return false;
-  TemplateId root = roots[0];
-  const sql::QueryTemplate* root_tmpl = registry_.Find(root);
-  if (root_tmpl == nullptr) return false;
-  auto lp_it = state->latest_params.find(root);
-  if (lp_it == state->latest_params.end()) return false;
-  std::string root_key =
-      CacheKey(client, sql::RenderBoundText(*root_tmpl, lp_it->second));
-  const cache::CachedResult* root_hit = cache_->Peek(root_key);
-  if (root_hit == nullptr || root_hit->security_group != security_group ||
-      !sessions_.CanUse(client, root_hit->version)) {
-    return false;
-  }
-
-  for (TemplateId node : graph.nodes) {
-    if (node == root) continue;
-    NodeRole role = graph.RoleOf(node);
-    if (role == NodeRole::kDependency) return false;
-    const sql::QueryTemplate* tmpl = registry_.Find(node);
-    if (tmpl == nullptr) return false;
-    // Only direct children of the root can be checked without executing;
-    // deeper hierarchies are conservatively treated as not cached.
-    std::vector<const DepEdge*> incoming;
-    for (const auto& e : graph.edges) {
-      if (e.dst == node) incoming.push_back(&e);
-    }
-    for (const auto* e : incoming) {
-      if (e->src != root) return false;
-    }
-    // Constants for unmapped positions.
-    std::vector<sql::Value> base(static_cast<size_t>(tmpl->param_count),
-                                 sql::Value::Null());
-    auto node_lp = state->latest_params.find(node);
-    if (node_lp != state->latest_params.end()) {
-      for (size_t p = 0; p < base.size() && p < node_lp->second.size(); ++p) {
-        base[p] = node_lp->second[p];
-      }
-    }
-    for (size_t r = 0; r < root_hit->result->row_count(); ++r) {
-      std::vector<sql::Value> params = base;
-      bool bindable = true;
-      for (const auto* e : incoming) {
-        for (const auto& b : e->bindings) {
-          int col = root_hit->result->ColumnIndex(b.src_column);
-          if (col < 0) {
-            bindable = false;
-            break;
-          }
-          params[static_cast<size_t>(b.dst_param)] =
-              root_hit->result->row(r)[static_cast<size_t>(col)];
-        }
-      }
-      if (!bindable) return false;
-      for (const auto& v : params) {
-        if (v.is_null()) return false;  // unknown constant: cannot verify
-      }
-      std::string child_key =
-          CacheKey(client, sql::RenderBoundText(*tmpl, params));
-      const cache::CachedResult* child_hit = cache_->Peek(child_key);
-      if (child_hit == nullptr ||
-          child_hit->security_group != security_group ||
-          !sessions_.CanUse(client, child_hit->version)) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 void Middleware::Respond(ClientId client, TemplateId tmpl,
                          std::shared_ptr<const sql::ResultSet> result,
                          const ResponseCallback& done) {
   if (config_.enable_learning) {
-    StateFor(client)->mapper.ObserveResult(tmpl, *result);
+    core_.ObserveResult(core_.SessionFor(client), tmpl, *result);
   }
   // The scheduled delivery carries only the shared_ptr; the single copy
   // into the client's Result<ResultSet> happens at the LAN edge.
@@ -823,72 +576,6 @@ void Middleware::Respond(ClientId client, TemplateId tmpl,
                          [done, result = std::move(result)](SimTime now2) {
                            done(now2, *result);
                          });
-}
-
-void Middleware::CachePut(ClientId client, int security_group, TemplateId tmpl,
-                          const std::string& bound_text,
-                          std::shared_ptr<const sql::ResultSet> result,
-                          uint64_t prefetch_plan, uint64_t prefetch_src) {
-  const sql::QueryTemplate* qt = registry_.Find(tmpl);
-  std::vector<std::string> reads;
-  if (qt != nullptr) reads = sql::CollectTableAccess(*qt->ast).reads;
-  cache::CachedResult entry;
-  entry.SetResult(std::move(result));
-  entry.version = sessions_.SnapshotFor(reads);
-  entry.security_group = security_group;
-  entry.node_id = config_.node_id;
-  entry.prefetch_plan = prefetch_plan;
-  entry.prefetch_src = prefetch_src;
-  entry.tmpl = static_cast<uint64_t>(tmpl);
-  entry.install_us = static_cast<uint64_t>(events_->now());
-  std::string key = CacheKey(client, bound_text);
-  if (journal_ != nullptr && prefetch_plan != 0) {
-    obs::JournalEvent installed;
-    installed.type = obs::JournalEventType::kEntryInstalled;
-    installed.plan = prefetch_plan;
-    installed.src = prefetch_src;
-    installed.tmpl = static_cast<uint64_t>(tmpl);
-    installed.a = cache::LruCache::EntryBytes(key, entry);
-    installed.client = static_cast<uint32_t>(client);
-    Journal(installed);
-  }
-  cache_->Put(key, std::move(entry));
-}
-
-const cache::CachedResult* Middleware::CacheGet(ClientId client,
-                                                int security_group,
-                                                const std::string& bound_text) {
-  const std::string key = CacheKey(client, bound_text);
-  const cache::CachedResult* entry = cache_->Get(key);
-  if (entry == nullptr) return nullptr;
-  if (entry->security_group != security_group) {
-    ++metrics_.cache_rejects;
-    return nullptr;
-  }
-  if (!sessions_.CanUse(client, entry->version)) {
-    ++metrics_.cache_rejects;
-    // A version-rejected prefetched entry can never become usable again
-    // (database versions are monotonic), so erase it now: the eviction
-    // callback journals it as invalidated instead of letting it age out
-    // as an ordinary capacity eviction.
-    if (entry->prefetch_plan != 0) cache_->Erase(key);
-    return nullptr;
-  }
-  sessions_.AbsorbResult(client, entry->version);
-  if (journal_ != nullptr && entry->prefetch_plan != 0 &&
-      entry->use_count == 1) {
-    obs::JournalEvent used;
-    used.type = obs::JournalEventType::kEntryUsed;
-    used.plan = entry->prefetch_plan;
-    used.src = entry->prefetch_src;
-    used.tmpl = entry->tmpl;
-    used.a = cache::LruCache::EntryBytes(key, *entry);
-    const uint64_t now = static_cast<uint64_t>(events_->now());
-    used.b = now > entry->install_us ? now - entry->install_us : 0;
-    used.client = static_cast<uint32_t>(client);
-    Journal(used);
-  }
-  return entry;
 }
 
 }  // namespace chrono::core

@@ -3,22 +3,13 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cache/lru_cache.h"
-#include "cache/lru_map.h"
-#include "core/combiner_lateral.h"
-#include "core/dependency_manager.h"
-#include "core/loop_detector.h"
-#include "core/param_mapper.h"
-#include "core/result_splitter.h"
-#include "core/session.h"
-#include "core/template_registry.h"
-#include "core/transition_graph.h"
+#include "core/node_core.h"
 #include "db/database.h"
 #include "net/fault_injector.h"
 #include "net/latency_model.h"
@@ -166,11 +157,13 @@ struct MiddlewareMetrics {
   }
 };
 
-/// \brief One ChronoCache middleware node (Fig. 2): accepts client query
-/// text, learns the client's query patterns online, predictively combines
-/// and prefetches query results, and serves results from the edge cache
-/// under session semantics. Runs entirely in virtual time on the shared
-/// EventQueue.
+/// \brief One ChronoCache middleware node (Fig. 2) in virtual time: the
+/// event-queue driver of the shared NodeCore. The core decides analysis,
+/// learning, plan building and the cache's entry policy; this driver owns
+/// the virtual-time control flow around it — the simulated remote server,
+/// worker-pool charging, in-flight waiter lists, demand-read retries, the
+/// §5.1 redundancy check before firing, the split_mark_text_avail cascade
+/// and Apollo-style sequential prefetch — plus its own MiddlewareMetrics.
 class Middleware {
  public:
   using ResponseCallback =
@@ -185,13 +178,12 @@ class Middleware {
                    ResponseCallback done);
 
   const MiddlewareMetrics& metrics() const { return metrics_; }
-  const cache::LruCache& cache() const { return *cache_; }
+  const runtime::ShardedCache& cache() const { return core_.cache(); }
   const MiddlewareConfig& config() const { return config_; }
-  SessionManager* sessions() { return &sessions_; }
 
   /// Template (AnalyzeQuery memoization) cache hit/miss counters.
   const CacheCounters& template_cache_counters() const {
-    return template_cache_.counters();
+    return core_.template_cache_counters();
   }
 
   /// Mirrors the runtime server's prefetch-lifecycle journal events —
@@ -202,25 +194,15 @@ class Middleware {
   /// times are not wall-clock). The journal must outlive the middleware;
   /// the simulator is single-threaded, so a drain_interval_ms of 0 with
   /// manual Drain() between steps is the natural configuration.
-  void AttachJournal(obs::EventJournal* journal);
+  void AttachJournal(obs::EventJournal* journal) {
+    core_.AttachJournal(journal);
+  }
 
   /// Dependency-graph count across clients (learning progress probe).
-  size_t TotalGraphs() const;
-
-  /// Graphviz renderings of one client's learned dependency graphs, with
-  /// nodes labelled by their template text (inspection/debugging surface).
-  std::vector<std::string> DumpDependencyGraphs(ClientId client) const;
+  size_t TotalGraphs() const { return core_.TotalGraphs(); }
 
  private:
-  struct ClientState {
-    std::unique_ptr<TransitionGraph> transitions;
-    ParamMapper mapper;
-    DependencyManager manager;
-    std::map<TemplateId, std::vector<sql::Value>> latest_params;
-    uint64_t observations = 0;
-
-    ClientState(const MiddlewareConfig& config);
-  };
+  using Session = NodeCore::Session;
 
   struct PendingRequest {
     ClientId client;
@@ -234,8 +216,7 @@ class Middleware {
     int security_group = 0;
   };
 
-  ClientState* StateFor(ClientId client);
-  std::string CacheKey(ClientId client, const std::string& bound_text) const;
+  uint64_t Now() const { return static_cast<uint64_t>(events_->now()); }
 
   void Process(SimTime now, ClientId client, int security_group,
                std::string sql_text, ResponseCallback done);
@@ -244,15 +225,21 @@ class Middleware {
   void HandleRead(SimTime now, ClientId client, int security_group,
                   sql::ParsedQuery parsed, ResponseCallback done);
 
-  /// Fires one ready dependency graph (combined strategy). Returns true if
-  /// a combined query was launched and will satisfy `wait_key` (when
-  /// non-empty the arriving client waits for it). `cascade_depth` tracks
-  /// Algorithm 1's split_mark_text_avail recursion: prefetched results may
-  /// make further graphs ready (§5 asynchronous execution), bounded to
-  /// avoid self-sustaining cascades.
+  /// The §5.1 redundancy check over freshly ready graphs: drops (and
+  /// counts) the ones whose predictions are already cached.
+  std::vector<DependencyGraph> DropRedundant(
+      ClientId client, int security_group, std::vector<DependencyGraph> ready);
+
+  /// Fires one ready dependency graph (combined strategy); `trigger` is
+  /// the template whose arrival made it ready. Returns true if a combined
+  /// query was launched and will satisfy `wait_key` (when non-empty the
+  /// arriving client waits for it). `cascade_depth` tracks Algorithm 1's
+  /// split_mark_text_avail recursion: prefetched results may make further
+  /// graphs ready (§5 asynchronous execution), bounded to avoid
+  /// self-sustaining cascades.
   bool FireGraph(ClientId client, int security_group,
-                 const DependencyGraph& graph, const std::string& wait_key,
-                 int cascade_depth = 0);
+                 const DependencyGraph& graph, TemplateId trigger,
+                 const std::string& wait_key, int cascade_depth = 0);
 
   /// Algorithm 1 line 7: a prefetched result's text/params arrived — mark
   /// readiness and fire any graphs it completed.
@@ -261,13 +248,16 @@ class Middleware {
                           const std::vector<sql::Value>& params,
                           int cascade_depth);
 
+  /// Fires `graphs` without waiting on them: combined, or (Apollo)
+  /// sequential — deferred until the query under `defer_key` lands when
+  /// the key is non-empty, since the predictions bind from its result.
+  void FireBackground(ClientId client, int security_group,
+                      std::vector<DependencyGraph> graphs, TemplateId trigger,
+                      const std::string& defer_key);
+
   /// Apollo-style sequential prediction: uncombined background queries.
   void FireSequential(ClientId client, int security_group,
                       const DependencyGraph& graph);
-
-  /// §5.1: true if every result the graph would prefetch is already cached.
-  bool PredictionsCached(ClientId client, int security_group,
-                         const DependencyGraph& graph);
 
   /// Answers (or re-issues) the waiters parked under an in-flight key
   /// after a combined query completes.
@@ -290,27 +280,12 @@ class Middleware {
                std::shared_ptr<const sql::ResultSet> result,
                const ResponseCallback& done);
 
-  /// Cache write with session/security tagging. `prefetch_plan`/
-  /// `prefetch_src` tag predictively installed entries (zero for demand
-  /// fills) for hit attribution and the lifecycle journal. The payload is
-  /// adopted as-is: the caller's shared_ptr and the cached entry alias
-  /// one immutable ResultSet.
-  void CachePut(ClientId client, int security_group, TemplateId tmpl,
-                const std::string& bound_text,
-                std::shared_ptr<const sql::ResultSet> result,
-                uint64_t prefetch_plan = 0, uint64_t prefetch_src = 0);
+  /// Core cache lookup at the current virtual time, counting rejections.
+  std::optional<cache::CachedResult> LookupCounted(
+      ClientId client, int security_group, const std::string& bound_text);
 
-  /// Cache read honouring session semantics + security groups. Returns
-  /// nullptr on miss or rejection.
-  const cache::CachedResult* CacheGet(ClientId client, int security_group,
-                                      const std::string& bound_text);
-
-  void Learn(SimTime now, ClientId client, const sql::ParsedQuery& parsed);
-
-  /// Records one journal event stamped with the current virtual time (no
-  /// journal attached: no-op). ts 0 would make the journal substitute its
-  /// wall clock, so virtual time 0 is nudged to 1.
-  void Journal(obs::JournalEvent event);
+  /// Records one journal event stamped with the current virtual time.
+  void Journal(obs::JournalEvent event) { core_.Journal(event, Now()); }
   /// kRequest emission helper shared by the response sites.
   void JournalRequest(ClientId client, TemplateId tmpl,
                       obs::TraceOutcome outcome, uint64_t prefetch_plan = 0,
@@ -320,15 +295,8 @@ class Middleware {
   RemoteDbServer* remote_;
   net::LatencyModel latency_;
   MiddlewareConfig config_;
-  // Memoized AnalyzeQuery: repeated query texts skip lexing, parsing, and
-  // template extraction entirely (the per-query middleware hot path).
-  cache::LruMap<std::string, sql::ParsedQuery> template_cache_;
-  std::unique_ptr<cache::LruCache> cache_;
+  NodeCore core_;
   Resource mw_pool_;
-  SessionManager sessions_;
-  TemplateRegistry registry_;
-  GraphExtractor extractor_;
-  std::unordered_map<ClientId, std::unique_ptr<ClientState>> clients_;
   // §5.1 duplicate-request coalescing: cache key -> waiters.
   std::unordered_map<std::string, std::vector<PendingRequest>> inflight_;
   std::unordered_map<std::string, InflightInfo> inflight_tmpl_;
@@ -337,8 +305,6 @@ class Middleware {
   std::unordered_map<std::string, std::vector<std::pair<int, DependencyGraph>>>
       deferred_seq_;
   MiddlewareMetrics metrics_;
-  obs::EventJournal* journal_ = nullptr;  // null until attached
-  uint64_t next_plan_id_ = 1;
   net::RetryPolicy retry_;        // schedule for idempotent demand reads
   uint64_t retry_ordinal_ = 0;    // deterministic backoff-jitter counter
 };

@@ -51,7 +51,6 @@ class SessionManager {
   void AbsorbResult(ClientId client, const cache::VersionVector& vr);
 
   uint64_t VersionOf(const std::string& relation) const;
-  size_t relation_count() const { return vd_.size(); }
 
  private:
   std::vector<uint64_t>& ClientVector(ClientId client);

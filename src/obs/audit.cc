@@ -12,7 +12,7 @@ namespace {
 const char* kOutcomeNames[kTraceOutcomeCount] = {
     "cache_hit", "prediction_hit", "remote_plain", "write",
     "error",     "stale_hit",      "coalesced_hit"};
-const char* kStageNames[PrefetchAudit::kStageSlots] = {
+const char* const kStageNames[PrefetchAudit::kStageSlots] = {
     "analyze", "cache_lookup", "learn_combine",
     "db_execute", "split_decode", "total"};
 
@@ -68,6 +68,10 @@ double PrefetchAudit::Digest::Percentile(double q) const {
 
 // ---------------------------------------------------------------------------
 // PrefetchAudit
+
+const char* PrefetchAudit::StageSlotName(int slot) {
+  return slot >= 0 && slot < kStageSlots ? kStageNames[slot] : "?";
+}
 
 PrefetchAudit::PrefetchAudit(MetricsRegistry* registry)
     : registry_(registry) {}

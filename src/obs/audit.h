@@ -157,6 +157,8 @@ class PrefetchAudit : public JournalSink {
   };
 
   static constexpr int kStageSlots = 6;  // 5 pipeline stages + total
+  /// Report name of one stage_sum_us slot ("analyze" … "total").
+  static const char* StageSlotName(int slot);
 
   struct Snapshot {
     uint64_t events_folded = 0;

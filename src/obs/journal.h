@@ -24,7 +24,10 @@ namespace chrono::obs {
 /// evicted-unused / invalidated-by-write — alongside request outcomes, so
 /// the PrefetchAudit can reconstruct per-plan cost/benefit offline.
 enum class JournalEventType : uint8_t {
-  kPlanMined = 1,     // a combined plan became ready (tmpl = trigger)
+  // A combined plan became ready. tmpl = the trigger: the template whose
+  // arrival made the graph ready (a client read, or a split slice in the
+  // simulator's cascade) — one rule for both nodes, set by NodeCore.
+  kPlanMined = 1,
   kCombinedIssued,    // combined query sent to the database
   kCombinedFetched,   // combined response arrived (flags bit0 = ok)
   kEntryInstalled,    // one split slice installed in the result cache

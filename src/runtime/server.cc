@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/combiner_lateral.h"
 #include "obs/build_info.h"
 
 namespace chrono::runtime {
@@ -16,6 +15,23 @@ uint64_t NsBetween(std::chrono::steady_clock::time_point from,
                    std::chrono::steady_clock::time_point to) {
   auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(to - from);
   return d.count() < 0 ? 0 : static_cast<uint64_t>(d.count());
+}
+
+core::NodeCore::Options CoreOptions(const ServerConfig& config,
+                                    obs::ContentionRegistry* contention,
+                                    std::function<uint64_t()> clock) {
+  return {.template_cache_entries = config.template_cache_entries,
+          .delta_t = static_cast<SimTime>(config.delta_t_us),
+          .extractor = {config.tau, config.min_occurrences,
+                        /*enable_loops=*/true, /*enable_loop_constants=*/true,
+                        /*max_nodes=*/8},
+          .min_validations = config.min_validations,
+          .extract_every = config.extract_every,
+          .cache_bytes = config.cache_bytes,
+          .cache_shards = config.cache_shards,
+          .share_across_clients = config.share_across_clients,
+          .clock = std::move(clock),
+          .contention = contention};
 }
 
 }  // namespace
@@ -77,20 +93,10 @@ class ChronoServer::StageTimer {
   std::chrono::steady_clock::time_point begin_;
 };
 
-ChronoServer::SessionState::SessionState(const ServerConfig& config,
-                                         obs::LockSite* lock_site)
-    : mutex(lock_site),
-      transitions(static_cast<SimTime>(config.delta_t_us)),
-      mapper(config.min_validations),
-      manager(core::DependencyManager::Options{/*enable_subsumption=*/true}) {}
-
 ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
     : db_(db),
       config_(config),
       start_(std::chrono::steady_clock::now()),
-      extractor_(core::GraphExtractor::Options{
-          config.tau, config.min_occurrences, /*enable_loops=*/true,
-          /*enable_loop_constants=*/true, /*max_nodes=*/8}),
       owned_registry_(config.registry != nullptr
                           ? nullptr
                           : std::make_unique<obs::MetricsRegistry>()),
@@ -100,16 +106,8 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
           metrics_registry_)),
       db_mutex_(contention_->Site("server.db.write"),
                 contention_->Site("server.db.read")),
-      template_mutex_(contention_->Site("server.template_cache")),
-      template_cache_(config.template_cache_entries),
-      registry_mutex_(contention_->Site("server.registry.write"),
-                      contention_->Site("server.registry.read")),
-      versions_mutex_(contention_->Site("server.versions")),
-      versions_(/*multi_node=*/false),
-      sessions_mutex_(contention_->Site("server.sessions")),
-      session_site_(contention_->Site("server.session")),
-      cache_(config.cache_bytes, config.cache_shards,
-             contention_->Site("cache.shard")),
+      core_(CoreOptions(config, contention_.get(),
+                        [this] { return NowMicros(); })),
       inflight_mutex_(contention_->Site("server.inflight")),
       fault_(config.fault),
       retry_(config.retry),
@@ -144,7 +142,7 @@ ChronoServer::ChronoServer(db::Database* db, ServerConfig config)
     journal_options.drain_interval_ms = config_.journal_drain_ms;
     journal_ = std::make_unique<obs::EventJournal>(journal_options);
     journal_->AddSink(audit_.get());
-    InstallEvictionJournal();
+    core_.AttachJournal(journal_.get());
   }
   RegisterMetrics();
   // Breaker transitions are counted and journaled (the listener runs under
@@ -404,7 +402,7 @@ void ChronoServer::RegisterMetrics() {
 
   r->RegisterCallbackGauge(
       "chrono_sessions", "Live client sessions", {},
-      [this] { return static_cast<double>(session_count()); }, owner);
+      [this] { return static_cast<double>(core_.session_count()); }, owner);
 
   r->RegisterCallbackGauge(
       "chrono_breaker_state",
@@ -445,20 +443,14 @@ void ChronoServer::RegisterMetrics() {
   };
   cache_family(
       "template",
-      [this] { return static_cast<double>(template_cache_.counters().hits.load(
-                   std::memory_order_relaxed)); },
       [this] {
-        return static_cast<double>(template_cache_.counters().misses.load(
-            std::memory_order_relaxed));
+        return static_cast<double>(template_cache_counters().hits.load());
       },
       [this] {
-        std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-        return static_cast<double>(template_cache_.evictions());
+        return static_cast<double>(template_cache_counters().misses.load());
       },
-      [this] {
-        std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-        return static_cast<double>(template_cache_.size());
-      });
+      [this] { return static_cast<double>(core_.template_cache_evictions()); },
+      [this] { return static_cast<double>(core_.template_cache_size()); });
   cache_family(
       "statement",
       [this] {
@@ -475,33 +467,33 @@ void ChronoServer::RegisterMetrics() {
         return static_cast<double>(db_->statement_cache_size());
       });
   cache_family(
-      "result", [this] { return static_cast<double>(cache_.hits()); },
-      [this] { return static_cast<double>(cache_.misses()); },
-      [this] { return static_cast<double>(cache_.evictions()); },
-      [this] { return static_cast<double>(cache_.entry_count()); });
+      "result", [this] { return static_cast<double>(cache().hits()); },
+      [this] { return static_cast<double>(cache().misses()); },
+      [this] { return static_cast<double>(cache().evictions()); },
+      [this] { return static_cast<double>(cache().entry_count()); });
   r->RegisterCallbackGauge(
       "chrono_result_cache_bytes", "Bytes resident in the result cache", {},
-      [this] { return static_cast<double>(cache_.used_bytes()); }, owner);
+      [this] { return static_cast<double>(cache().used_bytes()); }, owner);
   r->RegisterCallbackGauge(
       "chrono_result_cache_capacity_bytes", "Result cache byte budget", {},
-      [this] { return static_cast<double>(cache_.capacity_bytes()); }, owner);
+      [this] { return static_cast<double>(cache().capacity_bytes()); }, owner);
 
   // Per-shard occupancy/eviction gauges (shard mutexes are leaf locks, so
   // pulling them from a snapshot callback cannot invert the lock order).
-  for (size_t i = 0; i < cache_.shard_count(); ++i) {
+  for (size_t i = 0; i < cache().shard_count(); ++i) {
     obs::Labels labels = {{"shard", std::to_string(i)}};
     r->RegisterCallbackGauge(
         "chrono_result_cache_shard_entries", "Entries resident per shard",
         labels,
-        [this, i] { return static_cast<double>(cache_.ShardEntryCount(i)); },
+        [this, i] { return static_cast<double>(cache().ShardEntryCount(i)); },
         owner);
     r->RegisterCallbackGauge(
         "chrono_result_cache_shard_bytes", "Bytes resident per shard", labels,
-        [this, i] { return static_cast<double>(cache_.ShardUsedBytes(i)); },
+        [this, i] { return static_cast<double>(cache().ShardUsedBytes(i)); },
         owner);
     r->RegisterCallbackGauge(
         "chrono_result_cache_shard_evictions", "Evictions per shard", labels,
-        [this, i] { return static_cast<double>(cache_.ShardEvictions(i)); },
+        [this, i] { return static_cast<double>(cache().ShardEvictions(i)); },
         owner);
   }
 
@@ -519,42 +511,6 @@ void ChronoServer::RegisterMetrics() {
         [this] { return static_cast<double>(traces_->total_pushed()); },
         owner);
   }
-}
-
-void ChronoServer::InstallEvictionJournal() {
-  // Runs under the owning shard's mutex (a leaf lock); journal Record is
-  // the only side effect. Only prefetch-attributed entries are journaled.
-  // kErased here means the server's staleness invalidation — the one
-  // explicit Erase on the result cache — and that erase always follows a
-  // Get that bumped use_count, so "served a real hit" is use_count > 1
-  // there and use_count > 0 everywhere else.
-  cache_.SetEvictionCallback([this](const std::string& key,
-                                    const cache::CachedResult& value,
-                                    size_t bytes,
-                                    cache::EvictReason reason) {
-    (void)key;
-    if (value.prefetch_plan == 0 || reason == cache::EvictReason::kCleared) {
-      return;
-    }
-    obs::JournalEvent event;
-    event.plan = value.prefetch_plan;
-    event.src = value.prefetch_src;
-    event.tmpl = value.tmpl;
-    event.a = bytes;
-    uint64_t now_us = NowMicros();
-    event.b = now_us > value.install_us ? now_us - value.install_us : 0;
-    if (reason == cache::EvictReason::kErased) {
-      event.type = obs::JournalEventType::kEntryInvalidated;
-      event.flags = value.use_count > 1 ? obs::kJournalFlagUsed : 0;
-    } else {
-      event.type = obs::JournalEventType::kEntryEvicted;
-      event.flags = (value.use_count > 0 ? obs::kJournalFlagUsed : 0) |
-                    (reason == cache::EvictReason::kReplaced
-                         ? obs::kJournalEvictReplaced
-                         : obs::kJournalEvictCapacity);
-    }
-    Journal(event);
-  });
 }
 
 void ChronoServer::FinishRequest(ReqCtx* ctx, ClientId client, bool read_only,
@@ -672,8 +628,6 @@ uint64_t ChronoServer::NowMicros() const {
           std::chrono::steady_clock::now() - start_)
           .count());
 }
-
-void ChronoServer::SimulateWan() const { SleepMicros(config_.db_latency_us); }
 
 void ChronoServer::SleepMicros(uint64_t us) const {
   if (us == 0) return;
@@ -877,11 +831,6 @@ SharedResult ChronoServer::TryServeStale(
   return candidate->result;
 }
 
-size_t ChronoServer::session_count() const {
-  std::lock_guard<obs::TimedMutex> lock(sessions_mutex_);
-  return sessions_.size();
-}
-
 ServerMetrics ChronoServer::metrics() const {
   const Counters& c = counters_;
   ServerMetrics m;
@@ -911,37 +860,15 @@ ServerMetrics ChronoServer::metrics() const {
   return m;
 }
 
-ChronoServer::SessionState* ChronoServer::SessionFor(ClientId client) {
-  std::lock_guard<obs::TimedMutex> lock(sessions_mutex_);
-  auto it = sessions_.find(client);
-  if (it == sessions_.end()) {
-    it = sessions_
-             .emplace(client,
-                      std::make_unique<SessionState>(config_, session_site_))
-             .first;
-  }
-  return it->second.get();
-}
-
-std::string ChronoServer::CacheKey(ClientId client,
-                                   const std::string& bound_text) const {
-  if (config_.share_across_clients) return bound_text;
-  return "c" + std::to_string(client) + "#" + bound_text;
-}
-
 std::future<Result<SharedResult>> ChronoServer::Submit(ClientId client,
                                                        std::string sql,
                                                        int security_group) {
   auto promise = std::make_shared<std::promise<Result<SharedResult>>>();
   std::future<Result<SharedResult>> future = promise->get_future();
-  bool accepted = pool_.Submit(
-      [this, promise, client, security_group, sql = std::move(sql)]() {
-        promise->set_value(Execute(client, sql, security_group));
-      });
-  if (!accepted) {
-    promise->set_value(
-        Status::Internal("ChronoServer is shut down; submission rejected"));
-  }
+  SubmitAsync(client, std::move(sql), security_group,
+              [promise](Result<SharedResult> result) {
+                promise->set_value(std::move(result));
+              });
   return future;
 }
 
@@ -1038,7 +965,7 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
   Result<sql::ParsedQuery> parsed = Status::OK();
   {
     StageTimer timer(this, &ctx, obs::Stage::kAnalyze);
-    parsed = Analyze(sql);
+    parsed = core_.Analyze(sql);
   }
   if (!parsed.ok()) {
     counters_.errors->Increment();
@@ -1063,30 +990,6 @@ Result<SharedResult> ChronoServer::ExecuteInternal(
   FinishRequest(&ctx, client, read_only, parsed->bound_text);
   if (pending != nullptr) *pending = std::move(ctx.pending);
   return result;
-}
-
-Result<sql::ParsedQuery> ChronoServer::Analyze(const std::string& sql) {
-  {
-    std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-    if (const sql::ParsedQuery* hit = template_cache_.Get(sql)) {
-      return *hit;  // copy out while the lock pins the entry
-    }
-  }
-  // AnalyzeQuery is a pure function of the text: run it unlocked. Two
-  // threads racing on the same new text both analyze and both Put — the
-  // second Put replaces an identical value, which is harmless.
-  auto analyzed = sql::AnalyzeQuery(sql);
-  if (!analyzed.ok()) return analyzed.status();
-  sql::ParsedQuery parsed;
-  {
-    std::lock_guard<obs::TimedMutex> lock(template_mutex_);
-    parsed = *template_cache_.Put(sql, std::move(*analyzed));
-  }
-  {
-    std::unique_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    registry_.Register(parsed.tmpl);
-  }
-  return parsed;
 }
 
 Result<SharedResult> ChronoServer::DoWrite(ClientId client,
@@ -1114,92 +1017,66 @@ Result<SharedResult> ChronoServer::DoWrite(ClientId client,
     counters_.errors->Increment();
     return outcome.status();
   }
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    versions_.OnClientWrite(client, outcome->tables_written);
-  }
+  core_.OnClientWrite(client, outcome->tables_written);
   return std::make_shared<const sql::ResultSet>(std::move(outcome->result));
 }
 
-std::vector<ChronoServer::PreparedPlan> ChronoServer::LearnAndCombine(
-    SessionState* session, ClientId client, const sql::ParsedQuery& parsed) {
-  (void)client;
-  std::vector<PreparedPlan> plans;
-  if (!config_.enable_learning) return plans;
-  const core::TemplateId tmpl = parsed.tmpl->id;
-
-  // Lock order: registry reader (server level) before the session lock.
-  // The extractor and the combiners both read the shared registry while
-  // the session's models are being updated.
-  std::shared_lock<obs::TimedSharedMutex> registry_lock(registry_mutex_);
-  std::lock_guard<obs::TimedMutex> session_lock(session->mutex);
-
-  session->transitions.Observe(tmpl, static_cast<SimTime>(NowMicros()));
-  session->mapper.ObserveQuery(tmpl, parsed.params);
-  session->latest_params[tmpl] = parsed.params;
-  ++session->observations;
-  if (session->observations % config_.extract_every == 0) {
-    for (auto& graph : extractor_.Extract(session->transitions,
-                                          session->mapper, registry_)) {
-      session->manager.AddGraph(std::move(graph));
-    }
+core::NodeCore::LookupResult ChronoServer::TimedLookup(
+    ClientId client, int security_group, const std::string& bound_text,
+    ReqCtx* ctx, bool count_rejects) {
+  StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
+  // While the breaker is unhealthy and stale-serving is on, a rejected
+  // entry stays resident: it may be the only answer the node can give.
+  const bool keep_rejected =
+      config_.stale_serve_us > 0 &&
+      breaker_.state() != net::CircuitBreaker::State::kClosed;
+  core::NodeCore::LookupResult lookup = core_.Lookup(
+      client, security_group, bound_text, NowMicros(), keep_rejected);
+  if (count_rejects && lookup.rejected()) {
+    counters_.cache_rejects->Increment();
   }
-
-  if (!config_.enable_combining) return plans;
-  for (const core::DependencyGraph* graph :
-       session->manager.MarkTextAvail(tmpl)) {
-    core::CombineInput input{graph, &registry_, &session->latest_params};
-    auto combined = core::CombineGraph(input);
-    if (!combined.ok()) continue;
-    PreparedPlan prepared;
-    prepared.plan =
-        std::make_shared<core::CombinedQuery>(std::move(*combined));
-    prepared.plan_id = next_plan_id_.fetch_add(1, std::memory_order_relaxed);
-    prepared.contains_current = graph->ContainsNode(tmpl);
-    if (journal_ != nullptr) {
-      obs::JournalEvent event;
-      event.type = obs::JournalEventType::kPlanMined;
-      event.plan = prepared.plan_id;
-      event.tmpl = static_cast<uint64_t>(tmpl);  // the trigger template
-      event.a = prepared.plan->slots.size();
-      journal_->Record(event);
-    }
-    plans.push_back(std::move(prepared));
-  }
-  return plans;
+  return lookup;
 }
 
 Result<SharedResult> ChronoServer::DoRead(ClientId client,
                                           int security_group,
                                           const sql::ParsedQuery& parsed,
                                           ReqCtx* ctx) {
-  SessionState* session = SessionFor(client);
+  Session* session = core_.SessionFor(client);
   const core::TemplateId tmpl = parsed.tmpl->id;
 
-  std::vector<PreparedPlan> plans;
+  // Learning, graph readiness and combining for this arrival. The first
+  // plan covering this query runs inline below on a miss; the others
+  // prefetch in the background.
+  std::optional<core::NodeCore::Plan> primary;
+  std::vector<core::NodeCore::Plan> background;
   {
     StageTimer timer(this, ctx, obs::Stage::kLearnCombine);
-    plans = LearnAndCombine(session, client, parsed);
+    if (config_.enable_learning) {
+      const uint64_t now = NowMicros();
+      std::vector<core::DependencyGraph> ready =
+          core_.Learn(session, parsed, now);
+      for (const core::DependencyGraph& graph : ready) {
+        if (!config_.enable_combining) break;
+        auto plan = core_.Combine(session, graph, tmpl, now);
+        if (!plan.ok()) continue;
+        if (!primary.has_value() && graph.ContainsNode(tmpl)) {
+          primary = std::move(*plan);
+        } else {
+          background.push_back(std::move(*plan));
+        }
+      }
+    }
   }
 
   // Ships the shared payload to the caller: a ref-count bump, never a row
   // copy. The mapper reads through the pointer (the payload is immutable).
   auto respond = [&](const SharedResult& result) {
-    if (config_.enable_learning) {
-      std::lock_guard<obs::TimedMutex> lock(session->mutex);
-      session->mapper.ObserveResult(tmpl, *result);
-    }
+    if (config_.enable_learning) core_.ObserveResult(session, tmpl, *result);
     return result;
   };
 
-  // Launch background prefetches for the plans that do not cover this
-  // query; the covering plan (if any) runs inline below on a miss.
-  PreparedPlan* primary = nullptr;
-  for (PreparedPlan& p : plans) {
-    if (p.contains_current && primary == nullptr) {
-      primary = &p;
-      continue;
-    }
+  for (const core::NodeCore::Plan& plan : background) {
     // First rung of the brownout ladder (§17): under pressure speculation
     // is dropped before it is even queued. Plans are still learned — only
     // the background execution is shed.
@@ -1210,14 +1087,11 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
     bool queued = pool_.TrySubmit(
         ThreadPool::Lane::kPrefetch,
-        [this, client, security_group, session, plan = p.plan,
-         plan_id = p.plan_id]() {
-          ExecuteCombined(client, security_group, session, *plan, plan_id,
+        [this, client, security_group, session, plan]() {
+          ExecuteCombined(client, security_group, session, plan,
                           /*ctx=*/nullptr);
         });
-    if (!queued) {
-      ShedPrefetch(obs::kShedQueueFull, p.plan_id, client);
-    }
+    if (!queued) ShedPrefetch(obs::kShedQueueFull, plan.id, client);
   }
 
   // A served cache hit, attributed to the prefetch that installed the
@@ -1238,28 +1112,25 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   // kept around as the degraded answer of last resort.
   std::optional<cache::CachedResult> stale_candidate;
   {
-    std::optional<cache::CachedResult> hit;
-    {
-      StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
-      hit = CacheGet(client, security_group, parsed.bound_text,
-                     &stale_candidate);
+    core::NodeCore::LookupResult lookup =
+        TimedLookup(client, security_group, parsed.bound_text, ctx);
+    if (lookup.hit()) {
+      return serve_hit(*lookup.entry, obs::TraceOutcome::kCacheHit);
     }
-    if (hit.has_value()) return serve_hit(*hit, obs::TraceOutcome::kCacheHit);
+    if (lookup.status == core::NodeCore::LookupStatus::kVersionRejected) {
+      stale_candidate = std::move(lookup.entry);
+    }
   }
 
   // Miss with a covering combined plan: execute it inline — the wall-clock
   // analogue of the simulator's "wait on the in-flight combined query".
-  if (primary != nullptr &&
-      ExecuteCombined(client, security_group, session, *primary->plan,
-                      primary->plan_id, ctx)) {
-    std::optional<cache::CachedResult> hit;
-    {
-      StageTimer timer(this, ctx, obs::Stage::kCacheLookup);
-      hit = CacheGet(client, security_group, parsed.bound_text);
-    }
-    if (hit.has_value()) {
+  if (primary.has_value() &&
+      ExecuteCombined(client, security_group, session, *primary, ctx)) {
+    core::NodeCore::LookupResult lookup =
+        TimedLookup(client, security_group, parsed.bound_text, ctx);
+    if (lookup.hit()) {
       counters_.prediction_hits->Increment();
-      return serve_hit(*hit, obs::TraceOutcome::kPredictionHit);
+      return serve_hit(*lookup.entry, obs::TraceOutcome::kPredictionHit);
     }
     counters_.prediction_fallbacks->Increment();
   }
@@ -1270,9 +1141,9 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
   // miss the same key in the same group while it is in flight park on the
   // leader's shared future instead of issuing duplicate backend calls.
   // The group suffix keeps cross-group misses on separate flights — the
-  // coalescing path must honour the same access-control model CacheGet
-  // enforces (§5.2.1).
-  const std::string flight_key = CacheKey(client, parsed.bound_text) +
+  // coalescing path must honour the same access-control model the cache
+  // lookup enforces (§5.2.1).
+  const std::string flight_key = core_.CacheKey(client, parsed.bound_text) +
                                  "#g" + std::to_string(security_group);
 
   // A follower validates the inherited payload against its own session
@@ -1291,17 +1162,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // write committing after this point advances Vd past the snapshot,
     // so the writer's own follower fails CanUse below and refetches
     // rather than treating possibly pre-write rows as fresh (§5.2).
-    {
-      std::vector<std::string> reads;
-      {
-        std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-        if (const sql::QueryTemplate* qt = registry_.Find(tmpl)) {
-          reads = sql::CollectTableAccess(*qt->ast).reads;
-        }
-      }
-      std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-      flight_version = versions_.SnapshotFor(reads);
-    }
+    flight_version = core_.SnapshotVersions(tmpl);
 
     std::shared_ptr<InflightFetch> flight;
     uint64_t parked_before = 0;
@@ -1320,7 +1181,7 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     if (flight == nullptr) break;  // leader (or flying alone): fetch below
 
     // Follower: the wait surfaces as db-execute time (that is what it
-    // replaces). No CachePut, no retries, no breaker feed — the leader
+    // replaces). No install, no retries, no breaker feed — the leader
     // owns all backend semantics; its Status fans out verbatim.
     ctx->Note(obs::AnnotationKind::kCoalesced, parked_before);
     Result<FlightPayload> shared = Status::OK();
@@ -1331,12 +1192,8 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     // The flight's snapshot proves freshness only up to the point the
     // leader issued its read: absorb it — never SyncClientToDb — and
     // only if this client's session has not moved past it since.
-    bool version_ok = false;
-    if (shared.ok()) {
-      std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-      version_ok = versions_.CanUse(client, shared->version);
-      if (version_ok) versions_.AbsorbResult(client, shared->version);
-    }
+    const bool version_ok =
+        shared.ok() && core_.AbsorbIfUsable(client, shared->version);
     {
       obs::JournalEvent event;
       event.type = obs::JournalEventType::kBackendCoalesced;
@@ -1370,11 +1227,6 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     ++rejected_flights;
   }
 
-  // Leader: bind the template's AST (no re-parse) and run it under reader
-  // access.
-  counters_.remote_plain->Increment();
-  ctx->outcome = obs::TraceOutcome::kRemotePlain;
-
   // Resolves the registered flight exactly once: the map entry goes first
   // so a late joiner becomes a fresh leader instead of parking on a
   // completed fetch, then the promise wakes every parked follower. If the
@@ -1399,6 +1251,28 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     }
   } resolver{this, flight_key, registered ? &flight_promise : nullptr};
 
+  // A leader's first lookup may have missed just before another leader
+  // installed the key and retired its flight: probe once more now that
+  // this flight is registered (its rejections were counted already). A
+  // thread that rejected a flight's rows skips this — the cache holds
+  // those same rows.
+  if (registered && rejected_flights == 0 &&
+      core_.Contains(client, parsed.bound_text)) {
+    core::NodeCore::LookupResult lookup =
+        TimedLookup(client, security_group, parsed.bound_text, ctx,
+                    /*count_rejects=*/false);
+    if (lookup.hit()) {
+      resolver.Resolve(FlightPayload{lookup.entry->result,
+                                     lookup.entry->version});
+      return serve_hit(*lookup.entry, obs::TraceOutcome::kCacheHit);
+    }
+  }
+
+  // Leader: bind the template's AST (no re-parse) and run it under reader
+  // access.
+  counters_.remote_plain->Increment();
+  ctx->outcome = obs::TraceOutcome::kRemotePlain;
+
   std::unique_ptr<sql::Statement> stmt =
       sql::BindParams(*parsed.tmpl->ast, parsed.params);
   BackendCall call;
@@ -1414,18 +1288,8 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     });
   }
 
-  // Freeze the rows into the shared immutable payload exactly once, then
-  // retire the flight and wake every parked follower.
-  SharedResult payload;
-  if (outcome.ok()) {
-    payload = std::make_shared<const sql::ResultSet>(
-        std::move(outcome->result));
-    resolver.Resolve(FlightPayload{payload, std::move(flight_version)});
-  } else {
-    resolver.Resolve(outcome.status());
-  }
-
   if (!outcome.ok()) {
+    resolver.Resolve(outcome.status());
     // Transport-level failure after every retry: degrade to the
     // version-stale entry if the operator opted in, rather than surface
     // an error. Explicitly stale results skip respond() — the mapper must
@@ -1440,30 +1304,34 @@ Result<SharedResult> ChronoServer::DoRead(ClientId client,
     counters_.errors->Increment();
     return outcome.status();
   }
-  CachePut(client, security_group, tmpl, parsed.bound_text, payload);
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    versions_.SyncClientToDb(client);  // fresh read: Vc = Vd (§5.2)
-  }
+  // Freeze the rows into the shared immutable payload exactly once. The
+  // entry is installed (and this fresh read synced: Vc = Vd, §5.2) before
+  // the flight retires, so a miss that finds no flight finds the entry.
+  SharedResult payload =
+      std::make_shared<const sql::ResultSet>(std::move(outcome->result));
+  core_.Install(client, security_group, tmpl, parsed.bound_text, payload,
+                NowMicros());
+  core_.SyncClientToDb(client);
+  resolver.Resolve(FlightPayload{payload, std::move(flight_version)});
   return respond(payload);
 }
 
 bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
-                                   SessionState* session,
-                                   const core::CombinedQuery& plan,
-                                   uint64_t plan_id, ReqCtx* ctx) {
+                                   Session* session,
+                                   const core::NodeCore::Plan& plan,
+                                   ReqCtx* ctx) {
   // Combined queries are predictive work, inline or not: while the breaker
   // is unhealthy they are shed before touching the backend, so prefetch
   // never consumes capacity (or probe slots) demand traffic needs.
   if (!breaker_.AdmitPrefetch()) {
-    ShedPrefetch(obs::kShedBreakerUnhealthy, plan_id, client);
+    ShedPrefetch(obs::kShedBreakerUnhealthy, plan.id, client);
     return false;
   }
   counters_.remote_combined->Increment();
   {
     obs::JournalEvent event;
     event.type = obs::JournalEventType::kCombinedIssued;
-    event.plan = plan_id;
+    event.plan = plan.id;
     event.client = static_cast<uint32_t>(client);
     Journal(event);
   }
@@ -1477,142 +1345,22 @@ bool ChronoServer::ExecuteCombined(ClientId client, int security_group,
     StageTimer timer(this, ctx, obs::Stage::kDbExecute);
     outcome = CallBackend(call, [&] {
       std::shared_lock<obs::TimedSharedMutex> lock(db_mutex_);
-      return db_->Execute(*plan.ast);
+      return db_->Execute(*plan.query->ast);
     });
   }
-  {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kCombinedFetched;
-    event.plan = plan_id;
-    event.client = static_cast<uint32_t>(client);
-    event.flags = outcome.ok() ? obs::kJournalFlagOk : 0;
-    if (outcome.ok()) {
-      event.a = outcome->result.row_count();
-      event.b = outcome->result.ByteSize();
-    }
-    event.c =
-        NsBetween(db_begin, std::chrono::steady_clock::now()) / 1000;
-    Journal(event);
-  }
+  core_.JournalFetched(
+      plan, client, outcome,
+      NsBetween(db_begin, std::chrono::steady_clock::now()) / 1000,
+      NowMicros());
   if (!outcome.ok()) return false;
 
   StageTimer split_timer(this, ctx, obs::Stage::kSplitDecode);
-  Result<std::vector<core::SplitEntry>> split = Status::OK();
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    split = core::SplitResult(plan, outcome->result, registry_);
-  }
+  Result<std::vector<core::SplitEntry>> split = core_.InstallSplit(
+      client, security_group, plan, outcome->result, NowMicros(),
+      config_.enable_learning ? session : nullptr);
   if (!split.ok()) return false;
-
-  for (const core::SplitEntry& entry : *split) {
-    CachePut(client, security_group, entry.tmpl, entry.key, entry.result,
-             plan_id, entry.src);
-    counters_.predictions_cached->Increment();
-  }
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    versions_.SyncClientToDb(client);
-  }
-  if (config_.enable_learning) {
-    std::lock_guard<obs::TimedMutex> lock(session->mutex);
-    for (const core::SplitEntry& entry : *split) {
-      session->mapper.ObserveResult(entry.tmpl, *entry.result);
-      session->latest_params[entry.tmpl] = entry.params;
-    }
-  }
+  counters_.predictions_cached->Increment(split->size());
   return true;
-}
-
-std::optional<cache::CachedResult> ChronoServer::CacheGet(
-    ClientId client, int security_group, const std::string& bound_text,
-    std::optional<cache::CachedResult>* stale_candidate) {
-  std::string key = CacheKey(client, bound_text);
-  std::optional<cache::CachedResult> entry = cache_.Get(key);
-  if (!entry.has_value()) return std::nullopt;
-  if (entry->security_group != security_group) {
-    counters_.cache_rejects->Increment();
-    return std::nullopt;
-  }
-  bool version_ok;
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    version_ok = versions_.CanUse(client, entry->version);
-    if (version_ok) versions_.AbsorbResult(client, entry->version);
-  }
-  if (!version_ok) {
-    counters_.cache_rejects->Increment();
-    // A security-cleared entry that merely failed the version check is
-    // exactly what stale-serving may fall back to; hand the caller a copy
-    // before any invalidation below.
-    if (stale_candidate != nullptr && config_.stale_serve_us > 0) {
-      *stale_candidate = *entry;
-    }
-    // A prefetched entry that fails the version check is stale for every
-    // client that has seen the write (database versions are monotonic) —
-    // drop it now so the audit sees invalidated-by-write instead of a
-    // misleading evicted-unused later. The eviction callback turns this
-    // Erase into the kEntryInvalidated journal event. While the breaker
-    // is unhealthy and stale-serving is on, keep the entry resident: it
-    // may be the only answer this node can still give.
-    bool keep_for_stale =
-        config_.stale_serve_us > 0 &&
-        breaker_.state() != net::CircuitBreaker::State::kClosed;
-    if (entry->prefetch_plan != 0 && !keep_for_stale) cache_.Invalidate(key);
-    return std::nullopt;
-  }
-  // First demand hit on a prefetched entry: the cache just bumped
-  // use_count, so our copy reading 1 means this very lookup was the first.
-  if (entry->prefetch_plan != 0 && entry->use_count == 1) {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kEntryUsed;
-    event.plan = entry->prefetch_plan;
-    event.src = entry->prefetch_src;
-    event.tmpl = entry->tmpl;
-    event.a = cache::LruCache::EntryBytes(key, *entry);
-    uint64_t now_us = NowMicros();
-    event.b = now_us > entry->install_us ? now_us - entry->install_us : 0;
-    event.client = static_cast<uint32_t>(client);
-    Journal(event);
-  }
-  return entry;
-}
-
-void ChronoServer::CachePut(ClientId client, int security_group,
-                            core::TemplateId tmpl,
-                            const std::string& bound_text,
-                            SharedResult result,
-                            uint64_t prefetch_plan, uint64_t prefetch_src) {
-  std::vector<std::string> reads;
-  {
-    std::shared_lock<obs::TimedSharedMutex> lock(registry_mutex_);
-    if (const sql::QueryTemplate* qt = registry_.Find(tmpl)) {
-      reads = sql::CollectTableAccess(*qt->ast).reads;
-    }
-  }
-  cache::CachedResult entry;
-  entry.SetResult(std::move(result));
-  {
-    std::lock_guard<obs::TimedMutex> lock(versions_mutex_);
-    entry.version = versions_.SnapshotFor(reads);
-  }
-  entry.security_group = security_group;
-  entry.node_id = 0;
-  entry.prefetch_plan = prefetch_plan;
-  entry.prefetch_src = static_cast<uint64_t>(prefetch_src);
-  entry.tmpl = static_cast<uint64_t>(tmpl);
-  entry.install_us = NowMicros();
-  std::string key = CacheKey(client, bound_text);
-  if (prefetch_plan != 0) {
-    obs::JournalEvent event;
-    event.type = obs::JournalEventType::kEntryInstalled;
-    event.plan = prefetch_plan;
-    event.src = entry.prefetch_src;
-    event.tmpl = entry.tmpl;
-    event.a = cache::LruCache::EntryBytes(key, entry);
-    event.client = static_cast<uint32_t>(client);
-    Journal(event);
-  }
-  cache_.Put(std::move(key), std::move(entry));
 }
 
 }  // namespace chrono::runtime

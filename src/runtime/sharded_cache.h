@@ -72,7 +72,6 @@ class ShardedCache {
 
   /// Removes an entry if present; returns whether it existed.
   bool Invalidate(const std::string& key);
-  bool Erase(const std::string& key) { return Invalidate(key); }
 
   void Clear();
 

@@ -173,6 +173,11 @@ TEST(PrefetchAudit, FoldsRequestOutcomesAndStageProfile) {
   for (int s = 0; s < PrefetchAudit::kStageSlots; ++s) {
     EXPECT_EQ(snap.stage_sum_us[s], expected[s]) << "stage " << s;
   }
+  // The report labels the last slot as the request total, not as the
+  // obs::Stage that happens to share its index.
+  EXPECT_STREQ(PrefetchAudit::StageSlotName(0), "analyze");
+  EXPECT_STREQ(PrefetchAudit::StageSlotName(PrefetchAudit::kStageSlots - 1),
+               "total");
 
   ASSERT_EQ(snap.templates.size(), 1u);
   EXPECT_EQ(snap.templates[0].tmpl, 9u);

@@ -238,10 +238,12 @@ TEST(RuntimeStress, ServerManyClientsSharedHotKeys) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0u);
-  // Four distinct queries total: everything after the first four fetches
-  // must be served from the shared cache.
+  // Four distinct queries total: one backend fetch per key. Every other
+  // read is a cache hit or joins the key's in-flight fetch — including a
+  // miss that lands while the fetch is being installed.
   auto m = server.metrics();
-  EXPECT_GE(m.cache_hits, m.reads - 8);
+  EXPECT_EQ(m.remote_plain, 4u);
+  EXPECT_EQ(m.cache_hits + m.backend_coalesced, m.reads - 4);
 }
 
 }  // namespace

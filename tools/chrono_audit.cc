@@ -239,10 +239,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(snap.requests_with_latency));
     uint64_t total = snap.stage_sum_us[obs::PrefetchAudit::kStageSlots - 1];
     for (int s = 0; s < obs::PrefetchAudit::kStageSlots; ++s) {
-      const char* name =
-          s < static_cast<int>(obs::Stage::kCount)
-              ? obs::StageName(static_cast<obs::Stage>(s))
-              : "total";
+      const char* name = obs::PrefetchAudit::StageSlotName(s);
       uint64_t sum = snap.stage_sum_us[s];
       std::printf("  %-14s %12.3f s  (%5.1f%%)\n", name,
                   static_cast<double>(sum) / 1e6,
